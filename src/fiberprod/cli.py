@@ -11,10 +11,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
-
-import jsonschema
 
 from . import fiber, oracle, series, structure
 from .errors import (
@@ -42,19 +41,40 @@ def _load_schema(kind: str) -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _validator(kind: str):
+    """The schema validator of one kind, checked and built once per process.
+    jsonschema is imported here because it dominates start-up time."""
+    import jsonschema
+
+    schema = _load_schema(kind)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_payload(kind: str, payload: dict) -> None:
     if kind not in KINDS:
         raise ValidationError(f"unknown scenario kind {kind!r}")
-    try:
-        jsonschema.validate(payload, _load_schema(kind))
-    except jsonschema.ValidationError as exc:
+    from jsonschema.exceptions import best_match
+
+    # the same error jsonschema.validate would raise
+    exc = best_match(_validator(kind).iter_errors(payload))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValidationError(f"scenario field {path}: {exc.message}") from exc
+        raise ValidationError(f"scenario field {path}: {exc.message}")
 
 
 def load_scenario(path: str, expected_kind: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read scenario file: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"scenario file {path} must hold a JSON object")
     if "kind" in data:
         kind = data["kind"]
         payload = data.get("payload", {})
@@ -335,9 +355,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except FileNotFoundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 def main() -> None:

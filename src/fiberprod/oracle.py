@@ -2,9 +2,9 @@
 
 Graded minimal free resolutions of cyclic modules A/J over A = P/I (P a
 polynomial ring over GF(p), I and J monomial ideals) by exact row reduction,
-degree by degree.  Output: graded Betti tables, truncated Poincare series,
-Krull dimension and depth of monomial quotients, and the same-ambient fiber
-product presentation P/(I intersect J).
+one multidegree block at a time.  Output: graded Betti tables, truncated
+Poincare series, Krull dimension and depth of monomial quotients, and the
+same-ambient fiber product presentation P/(I intersect J).
 
 Monomials are exponent tuples.  The monomial order everywhere is graded
 lexicographic (within a degree: descending lex on exponent tuples), fixed so
@@ -14,19 +14,24 @@ that outputs are deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, TrivialFiberProduct, ValidationError
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    TrivialFiberProduct,
+    ValidationError,
+)
 from .series import TruncatedSeries
 
 DEFAULT_CHAR = 32003
+# Characteristics are capped so that primality testing stays instant.
+MAX_CHAR = 2**31 - 1
 
 Monomial = Tuple[int, ...]
-# An element of A = P/I: {standard monomial: coefficient mod p}.
-Element = Dict[Monomial, int]
 
 
 def _is_prime(n: int) -> bool:
@@ -177,6 +182,8 @@ class QuotientPresentation:
     module_ideal: MonomialIdeal
 
     def __post_init__(self):
+        if self.char > MAX_CHAR:
+            raise ValidationError(f"characteristic {self.char} exceeds {MAX_CHAR}")
         if not _is_prime(self.char):
             raise ValidationError(f"characteristic {self.char} is not prime")
         if self.ideal.num_vars != self.num_vars or self.module_ideal.num_vars != self.num_vars:
@@ -235,182 +242,59 @@ class GradedBettiTable:
 
 # --- exact linear algebra over GF(p) ---------------------------------------
 
+# A sparse vector over GF(p): {coordinate: nonzero coefficient}.
+Vector = Dict[int, int]
 
-def _nullspace(rows: List[List[int]], ncols: int, p: int) -> List[List[int]]:
-    """Basis of the kernel of the matrix (rows x ncols) over GF(p).
 
-    Deterministic: RREF with leftmost pivots, one basis vector per free
-    column in ascending column order.
+def _echelon(vectors: Sequence[Vector], p: int) -> Tuple[List[int], List[Vector]]:
+    """Gaussian elimination over GF(p) on a list of sparse vectors.
+
+    Returns (pivots, kernel): the indices of the vectors independent of all
+    earlier ones, in order, and one relation per dependent vector, written
+    over the vector indices.  Deterministic: vector i is reduced against the
+    echelon rows of vectors 0..i-1 by smallest leading coordinate.
     """
-    mat = [row[:] for row in rows if any(row)]
+    rows: Dict[int, Tuple[Vector, Vector]] = {}  # lead -> (row, combination)
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                pivot_row = i
+    kernel: List[Vector] = []
+    for idx, vec in enumerate(vectors):
+        v = {c: x % p for c, x in vec.items() if x % p}
+        comb = {idx: 1}
+        while v:
+            lead = min(v)
+            if lead not in rows:
+                inv = pow(v[lead], p - 2, p)
+                rows[lead] = ({c: x * inv % p for c, x in v.items()},
+                              {c: x * inv % p for c, x in comb.items()})
+                pivots.append(idx)
                 break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][c]) % p
-        basis.append(vec)
-    return basis
-
-
-class _Span:
-    """Incremental row-echelon span over GF(p) for membership tests."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
-
-    def reduce(self, vec: List[int]) -> List[int]:
-        v = [x % self.p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec: List[int]) -> bool:
-        """Insert if independent; returns True when the rank grew."""
-        v = self.reduce(vec)
-        for piv, x in enumerate(v):
-            if x:
-                inv = pow(x, self.p - 2, self.p)
-                v = [(y * inv) % self.p for y in v]
-                self.rows.append(v)
-                self.pivots.append(piv)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+            f = v[lead]
+            for target, source in zip((v, comb), rows[lead]):
+                for c, y in source.items():
+                    x = (target.get(c, 0) - f * y) % p
+                    if x:
+                        target[c] = x
+                    else:
+                        target.pop(c, None)
+        else:
+            kernel.append(comb)
+    return pivots, kernel
 
 
 # --- resolution machinery ---------------------------------------------------
 
 
-def _mul_element(mon: Monomial, elem: Element, ideal: MonomialIdeal, p: int) -> Element:
-    out: Element = {}
-    for m, c in elem.items():
-        prod = tuple(a + b for a, b in zip(mon, m))
-        if not ideal.contains_monomial(prod):
-            out[prod] = (out.get(prod, 0) + c) % p
-    return {m: c for m, c in out.items() if c}
-
-
 @dataclass
 class _FreeModule:
-    """Graded free module with a differential into the previous one.
+    """Multigraded free module with a differential into the previous one.
 
-    columns[g] is the image of generator g: a vector of A-elements indexed by
-    the generators of the previous module.  For the 0-th module (rank one,
-    generator degree 0) there is no differential."""
+    Generator g has multidegree degrees[g]; its image is the sparse map
+    columns[g] = {k: c}, meaning c * x^(degrees[g] - alpha_k) on generator k
+    of the previous module (a multihomogeneous image has one monomial per
+    component)."""
 
-    gen_degrees: List[int]
-    columns: List[List[Element]]
-
-
-def _degree_basis(
-    ideal: MonomialIdeal, gen_degrees: Sequence[int], degree: int
-) -> List[Tuple[Monomial, int]]:
-    """Basis of the degree-d piece of the free module: (monomial, generator)."""
-    basis = []
-    for j, gd in enumerate(gen_degrees):
-        if degree >= gd:
-            for m in kbasis(ideal, degree - gd):
-                basis.append((m, j))
-    return basis
-
-
-def _vector_coords(
-    vec: List[Element],
-    basis_index: Dict[Tuple[Monomial, int], int],
-    p: int,
-) -> List[int]:
-    out = [0] * len(basis_index)
-    for j, elem in enumerate(vec):
-        for m, c in elem.items():
-            out[basis_index[(m, j)]] = c % p
-    return out
-
-
-def _coords_vector(
-    coords: List[int], basis: List[Tuple[Monomial, int]], rank: int
-) -> List[Element]:
-    vec: List[Element] = [dict() for _ in range(rank)]
-    for c, (m, j) in zip(coords, basis):
-        if c:
-            vec[j][m] = c
-    return vec
-
-
-def _kernel_at_degree(
-    pres: QuotientPresentation,
-    prev: Optional[_FreeModule],
-    current: _FreeModule,
-    degree: int,
-) -> Tuple[List[Tuple[Monomial, int]], List[List[int]]]:
-    """Kernel of the differential of `current` restricted to one degree.
-
-    For the 0-th module the differential is the projection onto the cyclic
-    module, whose kernel is spanned by the standard monomials lying in the
-    module ideal.
-    """
-    p = pres.char
-    basis = _degree_basis(pres.ideal, current.gen_degrees, degree)
-    if not basis:
-        return basis, []
-    if prev is None:
-        kernel = []
-        for idx, (m, _) in enumerate(basis):
-            if pres.module_ideal.contains_monomial(m):
-                vec = [0] * len(basis)
-                vec[idx] = 1
-                kernel.append(vec)
-        return basis, kernel
-    prev_basis = _degree_basis(pres.ideal, prev.gen_degrees, degree)
-    prev_index = {key: i for i, key in enumerate(prev_basis)}
-    # rows of the matrix: one per element of the target basis
-    rows = [[0] * len(basis) for _ in range(len(prev_basis))]
-    for col, (m, j) in enumerate(basis):
-        image = [
-            _mul_element(m, elem, pres.ideal, p) for elem in current.columns[j]
-        ]
-        for tgt, elem in enumerate(image):
-            for mon, c in elem.items():
-                rows[prev_index[(mon, tgt)]][col] = c
-    kernel = _nullspace(rows, len(basis), p)
-    # rank-nullity audit: row rank + dim ker = number of columns
-    span = _Span(p)
-    rank = sum(1 for row in rows if span.add(row))
-    if rank + len(kernel) != len(basis):
-        raise RuntimeError(
-            f"rank-nullity audit failed at degree {degree}: "
-            f"{rank} + {len(kernel)} != {len(basis)}"
-        )
-    return basis, kernel
+    degrees: List[Monomial]
+    columns: List[Vector]
 
 
 def _internal_cutoff(pres: QuotientPresentation, hom_degree: int) -> int:
@@ -427,9 +311,12 @@ def resolve(
 ) -> GradedBettiTable:
     """Graded Betti numbers of the cyclic module, by iterated syzygy steps.
 
-    Homological degrees whose internal-degree scan was cut short by
-    ``max_internal`` are flagged incomplete in the returned table; no
-    exception is raised here.
+    Every map is Z^n-graded, so the kernel at total degree d is computed one
+    multidegree block beta (|beta| = d) at a time: columns (beta - alpha_j, j)
+    of the current module, rows (beta - alpha_k, k) of the previous one, both
+    with a standard monomial.  Homological degrees whose internal-degree scan
+    was cut short by ``max_internal`` are flagged incomplete in the returned
+    table; no exception is raised here.
     """
     if max_hom < 0:
         raise ValidationError("max_hom must be nonnegative")
@@ -438,74 +325,115 @@ def resolve(
     if max_internal < max_hom:
         raise ValidationError("max_internal must be at least max_hom")
     p = pres.char
+    n = pres.num_vars
+
+    # standard monomials of A = P/I by degree; lives for this call only
+    standard: Dict[int, Tuple[List[Monomial], frozenset]] = {}
+
+    def standard_of(degree: int) -> Tuple[List[Monomial], frozenset]:
+        if degree not in standard:
+            basis = kbasis(pres.ideal, degree)
+            standard[degree] = (basis, frozenset(basis))
+        return standard[degree]
+
+    def spread(gens: Sequence[Monomial], degree: int) -> Dict[Monomial, List[int]]:
+        """Multidegrees beta of total degree d that generator g reaches by a
+        standard monomial, beta - alpha_g: beta -> [g, ...]."""
+        out: Dict[Monomial, List[int]] = {}
+        for g, alpha in enumerate(gens):
+            gap = degree - sum(alpha)
+            if gap >= 0:
+                for m in standard_of(gap)[0]:
+                    out.setdefault(tuple(map(operator.add, alpha, m)), []).append(g)
+        return out
+
+    def kernels_at(
+        prev: _FreeModule, current: _FreeModule, step: int, degree: int
+    ) -> List[Tuple[Monomial, List[int], List[Vector]]]:
+        """(beta, column generators, kernel) for each block of total degree d.
+
+        Step 0 maps F_0 = A onto A/J, so its rows are standard for J."""
+        blocks = []
+        for beta, cols in spread(current.degrees, degree).items():
+            row_ok: Dict[int, bool] = {}
+            images = []
+            for j in cols:
+                image = {}
+                for k, c in current.columns[j].items():
+                    if k not in row_ok:
+                        rest = tuple(map(operator.sub, beta, prev.degrees[k]))
+                        if step == 0:
+                            row_ok[k] = not pres.module_ideal.contains_monomial(rest)
+                        else:
+                            row_ok[k] = rest in standard_of(sum(rest))[1]
+                    if row_ok[k]:
+                        image[k] = c
+                images.append(image)
+            pivots, kernel = _echelon(images, p)
+            # rank-nullity audit: rank + dim ker = number of columns
+            if len(pivots) + len(kernel) != len(images):
+                raise InternalInconsistency(
+                    f"rank-nullity audit failed at multidegree {beta}: "
+                    f"{len(pivots)} + {len(kernel)} != {len(images)}"
+                )
+            if kernel:
+                blocks.append((beta, cols, kernel))
+        return blocks
 
     entries: Dict[Tuple[int, int], int] = {(0, 0): 1}
     complete = [True]
-    current = _FreeModule([0], [])
-    prev: Optional[_FreeModule] = None
+    zero = (0,) * n
+    # F_{-1} stands for the target A/J of the augmentation F_0 = A -> A/J
+    prev, current = _FreeModule([zero], []), _FreeModule([zero], [{0: 1}])
 
     for i in range(max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
         cutoff = min(max_internal, _internal_cutoff(pres, i + 1))
         budget_hit = cutoff < _internal_cutoff(pres, i + 1)
-        min_degree = min(current.gen_degrees) + 1 if current.gen_degrees else 0
-        degrees = list(range(min_degree, cutoff + 1))
 
-        if not current.gen_degrees:
+        if not current.degrees:
             complete.append(True)
             prev, current = current, _FreeModule([], [])
             continue
 
-        if threads > 1 and prev is not None:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                kernels = dict(
-                    zip(
-                        degrees,
-                        pool.map(
-                            lambda d: _kernel_at_degree(pres, prev, current, d),
-                            degrees,
-                        ),
-                    )
-                )
-        else:
-            kernels = {
-                d: _kernel_at_degree(pres, prev, current, d) for d in degrees
-            }
+        degrees = list(range(min(sum(a) for a in current.degrees) + 1, cutoff + 1))
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        new_gen_degrees: List[int] = []
-        new_columns: List[List[Element]] = []
-        degree_complete = True
-        for d in degrees:
-            basis, kernel = kernels[d]
-            if not basis:
-                continue
-            basis_index = {key: idx for idx, key in enumerate(basis)}
-            span = _Span(p)
-            # multiples of generators already found in lower degrees
-            for gd, gvec in zip(new_gen_degrees, new_columns):
-                for m in kbasis(pres.ideal, d - gd):
-                    multiple = [
-                        _mul_element(m, elem, pres.ideal, p) for elem in gvec
-                    ]
-                    span.add(_vector_coords(multiple, basis_index, p))
+            for d in range(cutoff + 1):
+                standard_of(d)  # fill before the workers read it
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                kernels = list(pool.map(lambda d: kernels_at(prev, current, i, d), degrees))
+        else:
+            kernels = [kernels_at(prev, current, i, d) for d in degrees]
+
+        new = _FreeModule([], [])
+        for d, blocks in zip(degrees, kernels):
+            # multiples of generators found in lower degrees, by block
+            multiples = spread(new.degrees, d)
             fresh = 0
-            for vec in kernel:
-                if span.add(vec):
-                    new_gen_degrees.append(d)
-                    new_columns.append(
-                        _coords_vector(vec, basis, len(current.gen_degrees))
-                    )
-                    fresh += 1
+            for beta, cols, kernel in blocks:
+                position = {j: c for c, j in enumerate(cols)}
+                span = [
+                    {position[j]: c for j, c in new.columns[g].items() if j in position}
+                    for g in multiples.get(beta, ())
+                ]
+                pivots, _ = _echelon(span + kernel, p)
+                for idx in pivots:
+                    if idx >= len(span):
+                        vec = kernel[idx - len(span)]
+                        new.degrees.append(beta)
+                        new.columns.append({cols[c]: x for c, x in vec.items()})
+                        fresh += 1
             if fresh:
                 entries[(i + 1, d)] = fresh
-            if d == degrees[-1]:
-                # every kernel vector at the cutoff degree must already lie in
-                # the span of lower-degree generator multiples
-                degree_complete = fresh == 0
+        # every kernel vector at the cutoff degree must already lie in the
+        # span of lower-degree generator multiples
+        degree_complete = not degrees or (i + 1, degrees[-1]) not in entries
         if budget_hit:
             degree_complete = False
         complete.append(degree_complete and complete[i])
-        prev, current = current, _FreeModule(new_gen_degrees, new_columns)
+        prev, current = current, new
 
     return GradedBettiTable(entries, max_hom, max_internal, complete)
 

@@ -160,3 +160,40 @@ def test_docs_schemas_match_packaged_schemas():
 def test_exit_codes_are_distinct():
     assert len({cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_BUDGET,
                 cli.EXIT_INCONSISTENT}) == 4
+
+
+def test_malformed_scenario_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"vars": ["x", "y"], "module": ["x"')
+    assert cli.run(["resolve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        assert cli.run(["resolve", "--scenario", str(unreadable)]) == 1
+        assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_duplicate_variables_rejected(tmp_path, capsys):
+    payload = {"vars": ["x", "x"], "ideal": ["x^2"], "module": ["x"], "max_hom": 2}
+    assert cli.run(["resolve", "--scenario", write_scenario(tmp_path, payload)]) == 1
+    assert "scenario field vars" in capsys.readouterr().err
+    doc = cli.load_corpus_scenario("lescot-xy")
+    doc["payload"]["vars"] = ["x", "x"]
+    assert cli.run(["verify", "--scenario", write_scenario(tmp_path, doc)]) == 1
+
+
+def test_huge_characteristic_rejected_by_schema(tmp_path, capsys):
+    payload = {"vars": ["x", "y"], "ideal": ["x*y"], "module": ["x", "y"],
+               "max_hom": 2, "char": 10**18 + 3}
+    assert cli.run(["resolve", "--scenario", write_scenario(tmp_path, payload)]) == 1
+    assert "scenario field char" in capsys.readouterr().err
+
+
+def test_huge_characteristic_rejected_on_the_command_line(tmp_path, capsys):
+    payload = {"vars": ["x", "y"], "ideal": ["x*y"], "module": ["x", "y"], "max_hom": 2}
+    path = write_scenario(tmp_path, payload)
+    assert cli.run(["resolve", "--scenario", path, "--char", str(10**18 + 3)]) == 1
+    assert "characteristic" in capsys.readouterr().err
+    # the largest admitted prime still runs
+    assert cli.run(["resolve", "--scenario", path, "--char", str(2**31 - 1)]) == 0

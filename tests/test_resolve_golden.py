@@ -1,0 +1,124 @@
+"""The multigraded oracle against tables recorded with the earlier dense
+per-degree elimination, plus invariants of a single resolve call."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fiberprod import cli, oracle
+from fiberprod.oracle import MonomialIdeal, QuotientPresentation, kbasis, resolve
+
+GOLDEN = Path(__file__).parent / "golden"
+
+X4 = ["x1", "x2", "x3", "x4"]
+X4_IDEAL = ["x1*x2", "x3*x4", "x1^2", "x4^3"]
+XYZ = ["x", "y", "z"]
+XYZ_IDEAL = ["x^2", "y^2", "z^2", "x*y"]
+
+# golden file -> (variables, ring ideal, module ideal or None for k, max_hom)
+CASES = {
+    "resolve-x4-h3": (X4, X4_IDEAL, None, 3),
+    "resolve-x4-h4": (X4, X4_IDEAL, None, 4),
+    "resolve-x4-h5": (X4, X4_IDEAL, None, 5),
+    "resolve-xyz-h6": (XYZ, XYZ_IDEAL, None, 6),
+    # T over R in the ci-xy-z2 corpus scenario
+    "resolve-ci-xy-z2-T-over-R-h6": (XYZ, ["x", "z^2"], ["x", "y", "z^2"], 6),
+    "resolve-xyz-module-x-yz-h5": (XYZ, XYZ_IDEAL, ["x", "y*z", "y^2", "z^2"], 5),
+    # P/I over the polynomial ring P
+    "resolve-x4-over-P-h4": (X4, [], X4_IDEAL, 4),
+}
+
+
+def presentation(name, char):
+    variables, ring, module, _ = CASES[name]
+    ideal = oracle.ideal_from_json(ring, variables)
+    if module is None:
+        return QuotientPresentation.residue_field(ideal, char=char)
+    return QuotientPresentation(len(variables), char, ideal,
+                                oracle.ideal_from_json(module, variables))
+
+
+@pytest.mark.parametrize("char", [32003, 65537])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_tables_byte_identical(name, char):
+    table = resolve(presentation(name, char), CASES[name][3])
+    text = json.dumps(table.to_json(), indent=2) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_euler_hilbert_identity(name):
+    """sum_{i,j} (-1)^i beta_{i,j} H_A(d - j) = H_{A/J}(d) for d <= max_hom."""
+    pres = presentation(name, oracle.DEFAULT_CHAR)
+    max_hom = CASES[name][3]
+    table = resolve(pres, max_hom)
+    quotient = pres.ideal if pres.module_ideal.is_zero() else pres.module_ideal
+    for d in range(max_hom + 1):
+        lhs = sum(
+            (-1) ** i * beta * len(kbasis(pres.ideal, d - j))
+            for (i, j), beta in table.entries.items()
+            if j <= d
+        )
+        assert lhs == len(kbasis(quotient, d)), (name, d)
+
+
+def test_identical_calls_make_identical_counts(monkeypatch):
+    """Memoised lookups live inside one resolve call: nothing carries over."""
+    counts = {"kbasis": 0, "contains": 0}
+    real_kbasis = oracle.kbasis
+    real_contains = MonomialIdeal.contains_monomial
+
+    def counting_kbasis(*args):
+        counts["kbasis"] += 1
+        return real_kbasis(*args)
+
+    def counting_contains(self, m):
+        counts["contains"] += 1
+        return real_contains(self, m)
+
+    monkeypatch.setattr(oracle, "kbasis", counting_kbasis)
+    monkeypatch.setattr(MonomialIdeal, "contains_monomial", counting_contains)
+    seen = []
+    for _ in range(2):
+        counts.update(kbasis=0, contains=0)
+        resolve(presentation("resolve-x4-h3", oracle.DEFAULT_CHAR), 3)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["kbasis"] > 0 and seen[0]["contains"] > 0
+
+
+def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
+    real = oracle._echelon
+
+    def wrong_rank(vectors, p):
+        pivots, kernel = real(vectors, p)
+        return pivots + [len(vectors)], kernel
+
+    monkeypatch.setattr(oracle, "_echelon", wrong_rank)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "ideal": ["x*y"],
+                                "module": ["x", "y"], "max_hom": 2}))
+    assert cli.run(["resolve", "--scenario", str(path)]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 32003]))
+def test_echelon_pivots_and_kernel(seed, p):
+    rng = random.Random(seed)
+    nrows = rng.randint(0, 5)
+    vectors = [
+        {r: rng.randrange(1, p) for r in range(nrows) if rng.random() < 0.5}
+        for _ in range(rng.randint(0, 6))
+    ]
+    pivots, kernel = oracle._echelon(vectors, p)
+    assert len(pivots) + len(kernel) == len(vectors)
+    assert len(pivots) <= nrows
+    for relation in kernel:
+        assert max(relation) not in pivots and relation[max(relation)] == 1
+        for r in range(nrows):
+            total = sum(c * vectors[i].get(r, 0) for i, c in relation.items())
+            assert total % p == 0
