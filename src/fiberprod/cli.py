@@ -124,23 +124,6 @@ class VerifyReport:
         }
 
 
-def compare_series(
-    a: TruncatedSeries, b: TruncatedSeries
-) -> Tuple[str, Optional[int]]:
-    """Coefficientwise relation of a (formula) against b (oracle)."""
-    n = min(a.order, b.order)
-    first = next((i for i in range(n + 1) if a[i] != b[i]), None)
-    if first is None:
-        return "equal", None
-    a_ge = all(a[i] >= b[i] for i in range(n + 1))
-    b_ge = all(b[i] >= a[i] for i in range(n + 1))
-    if a_ge:
-        return "formula-dominates", first
-    if b_ge:
-        return "oracle-dominates", first
-    return "incomparable", first
-
-
 def _module_over(base: MonomialIdeal, module_gens: Sequence, char: int) -> QuotientPresentation:
     gens = list(module_gens) + [list(g) for g in base.generators]
     module = MonomialIdeal.of(base.num_vars, gens)
@@ -152,10 +135,9 @@ def run_verify(
     order: Optional[int] = None,
     char: Optional[int] = None,
     max_internal: Optional[int] = None,
-    threads: int = 1,
 ) -> VerifyReport:
     variables = payload["vars"]
-    p = char or int(payload.get("char", DEFAULT_CHAR))
+    p = char if char is not None else int(payload.get("char", DEFAULT_CHAR))
     order = order if order is not None else int(payload.get("order", DEFAULT_ORDER))
     is_large = bool(payload.get("is_large", False))
 
@@ -169,7 +151,7 @@ def run_verify(
 
     def truncation(base, extra):
         pres = _module_over(base, [list(g) for g in extra], p)
-        return oracle.poincare_truncation(pres, order, max_internal, threads=threads)
+        return oracle.poincare_truncation(pres, order, max_internal)
 
     p_M_over_R = truncation(I, module_gens)
     p_T_over_R = truncation(I, total.generators)
@@ -179,7 +161,7 @@ def run_verify(
     formula = fiber.fiber_series(inputs, order)
     oracle_series = truncation(intersection, module_gens)
 
-    relation, first = compare_series(formula.series, oracle_series)
+    relation, first = series.relation(formula.series, oracle_series)
     notes = tuple(payload.get("notes", [])) + (
         "formula: closed rational form for the product ring",
         "oracle: graded minimal resolution over the same-ambient presentation",
@@ -192,7 +174,7 @@ def run_verify(
             f"(first divergence at index {first})"
         )
     # report integrity: the stored relation must be recomputable
-    if compare_series(report.formula_series, report.oracle_series) != (relation, first):
+    if series.relation(report.formula_series, report.oracle_series) != (relation, first):
         raise InternalInconsistency("verify report relation is not reproducible")
     return report
 
@@ -227,7 +209,6 @@ def _cmd_betti(args) -> int:
         BettiSequence.from_json(payload["beta_T_over_R"]),
         BettiSequence.from_json(payload["beta_T_over_S"]),
         int(payload["n"]),
-        is_large=bool(payload.get("is_large", False)),
     )
     label = "exact" if payload.get("is_large") else "lower bound"
     _emit(args, "betti", {"bound": bound.to_json(), "label": label},
@@ -261,12 +242,12 @@ def _cmd_classify(args) -> int:
 def _cmd_resolve(args) -> int:
     payload = load_scenario(args.scenario, "resolve")
     variables = payload["vars"]
-    p = args.char or int(payload.get("char", DEFAULT_CHAR))
+    p = args.char if args.char is not None else int(payload.get("char", DEFAULT_CHAR))
     ideal = oracle.ideal_from_json(payload.get("ideal", []), variables)
     module = oracle.ideal_from_json(payload["module"], variables)
     pres = QuotientPresentation(len(variables), p, ideal, module)
     max_hom = args.order if args.order is not None else int(payload.get("max_hom", DEFAULT_ORDER))
-    table = oracle.resolve(pres, max_hom, args.max_internal, threads=args.threads)
+    table = oracle.resolve(pres, max_hom, args.max_internal)
     _emit(args, "resolve", table.to_json(), table.to_text())
     if not table.is_complete_through():
         print("warning: table incomplete within the internal-degree budget",
@@ -282,7 +263,6 @@ def _cmd_verify(args) -> int:
         order=args.order,
         char=args.char,
         max_internal=args.max_internal,
-        threads=args.threads,
     )
     human = "\n".join(
         [
@@ -320,8 +300,15 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1, not argparse's 2."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiberprod",
         description="Exact Poincare-series formulas, depth rules and a "
         "resolution oracle for fiber product rings.",
@@ -338,13 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"field characteristic (default {DEFAULT_CHAR})")
         sp.add_argument("--max-internal", type=int, default=None, dest="max_internal",
                         help="internal-degree budget for the oracle")
-        sp.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _RUNNERS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -192,11 +192,9 @@ def betti_b(
     n = min(len(beta_T_over_R), len(beta_T_over_S)) - 1
     if order > n:
         raise OrderMismatch(f"order {order} exceeds the supported input order {n}")
-    out = []
-    for i in range(order + 1):
-        conv = sum(beta_T_over_R[j] * beta_T_over_S[i - j] for j in range(i + 1))
-        out.append(beta_T_over_R[i] + beta_T_over_S[i] - conv)
-    return TruncatedSeries(tuple(out))
+    r = beta_T_over_R.as_series().truncate(order)
+    s = beta_T_over_S.as_series().truncate(order)
+    return se.sub(se.add(r, s), se.mul(r, s))
 
 
 def betti_B(b: TruncatedSeries) -> TruncatedSeries:
@@ -220,23 +218,18 @@ def betti_bound(
     beta_T_over_R: BettiSequence,
     beta_T_over_S: BettiSequence,
     n: int,
-    is_large: bool = False,
 ) -> BettiSequence:
-    """Bound sequence sum_{i<=m} a_i B_{m-i} for m = 0..n, where
-    a_i is the convolution of beta(M over R) with beta(T over S)."""
+    """Bound sequence a * B to index n, where a is the convolution of
+    beta(M over R) with beta(T over S) and B = 1 / b."""
     if beta_M_over_R[0] < 1:
         raise InvalidBetti("beta_0 of M must be >= 1 for a nonzero module")
     limit = min(len(beta_M_over_R), len(beta_T_over_R), len(beta_T_over_S)) - 1
     if n > limit:
         raise OrderMismatch(f"index {n} exceeds the supported input length {limit}")
     b = betti_b(beta_T_over_R, beta_T_over_S, n)
-    big_b = betti_B(b)
-    a = [
-        sum(beta_M_over_R[j] * beta_T_over_S[i - j] for j in range(i + 1))
-        for i in range(n + 1)
-    ]
-    bound = tuple(sum(a[i] * big_b[m - i] for i in range(m + 1)) for m in range(n + 1))
-    return BettiSequence(bound)
+    m = beta_M_over_R.as_series().truncate(n)
+    a = se.mul(m, beta_T_over_S.as_series().truncate(n))
+    return BettiSequence(se.mul(a, se.invert(b)).coeffs)
 
 
 @dataclass(frozen=True)

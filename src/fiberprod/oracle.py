@@ -307,7 +307,6 @@ def resolve(
     pres: QuotientPresentation,
     max_hom: int,
     max_internal: Optional[int] = None,
-    threads: int = 1,
 ) -> GradedBettiTable:
     """Graded Betti numbers of the cyclic module, by iterated syzygy steps.
 
@@ -396,23 +395,13 @@ def resolve(
             prev, current = current, _FreeModule([], [])
             continue
 
-        degrees = list(range(min(sum(a) for a in current.degrees) + 1, cutoff + 1))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            for d in range(cutoff + 1):
-                standard_of(d)  # fill before the workers read it
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                kernels = list(pool.map(lambda d: kernels_at(prev, current, i, d), degrees))
-        else:
-            kernels = [kernels_at(prev, current, i, d) for d in degrees]
-
+        degrees = range(min(sum(a) for a in current.degrees) + 1, cutoff + 1)
         new = _FreeModule([], [])
-        for d, blocks in zip(degrees, kernels):
+        for d in degrees:
             # multiples of generators found in lower degrees, by block
             multiples = spread(new.degrees, d)
             fresh = 0
-            for beta, cols, kernel in blocks:
+            for beta, cols, kernel in kernels_at(prev, current, i, d):
                 position = {j: c for c, j in enumerate(cols)}
                 span = [
                     {position[j]: c for j, c in new.columns[g].items() if j in position}
@@ -442,14 +431,13 @@ def poincare_truncation(
     pres: QuotientPresentation,
     max_hom: int,
     max_internal: Optional[int] = None,
-    threads: int = 1,
 ) -> TruncatedSeries:
     """Column sums of the graded Betti table as a truncated series.
 
     Refuses to emit coefficients for homological degrees whose scan was
     incomplete.
     """
-    table = resolve(pres, max_hom, max_internal, threads=threads)
+    table = resolve(pres, max_hom, max_internal)
     if not table.is_complete_through():
         raise BudgetExceeded(
             "internal-degree budget exhausted before the table was complete",

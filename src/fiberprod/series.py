@@ -9,7 +9,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import NotAUnit, OrderMismatch, ValidationError
 
@@ -121,6 +121,21 @@ def dominates(a: TruncatedSeries, b: TruncatedSeries) -> DominanceReport:
         if a[i] < b[i]:
             return DominanceReport(False, i)
     return DominanceReport(True)
+
+
+def relation(a: TruncatedSeries, b: TruncatedSeries) -> Tuple[str, Optional[int]]:
+    """Coefficientwise relation of a (formula) against b (oracle) up to the
+    shorter order, with the first index where they differ."""
+    n = min(a.order, b.order)
+    a, b = a.truncate(n), b.truncate(n)
+    first = next((i for i in range(n + 1) if a[i] != b[i]), None)
+    if first is None:
+        return "equal", None
+    if dominates(a, b).holds:
+        return "formula-dominates", first
+    if dominates(b, a).holds:
+        return "oracle-dominates", first
+    return "incomparable", first
 
 
 def _trim(coeffs: Iterable[int]) -> tuple:

@@ -1,9 +1,8 @@
 import json
-from pathlib import Path
 
-from fiberprod import cli
+import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from fiberprod import cli, series as se
 
 
 def write_scenario(tmp_path, doc):
@@ -39,7 +38,7 @@ def test_verify_report_round_trips(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     a = cli.TruncatedSeries.from_json(result["formula_series"])
     b = cli.TruncatedSeries.from_json(result["oracle_series"])
-    relation, first = cli.compare_series(a, b)
+    relation, first = se.relation(a, b)
     assert relation == result["relation"]
     assert first == result["first_divergence"]
 
@@ -105,6 +104,31 @@ def test_betti_scenario(tmp_path, capsys):
     assert result["bound"] == ["1", "3", "7"]
 
 
+def test_betti_scenario_with_vanishing_beta1(tmp_path, capsys):
+    beta_m = [1, 2, 3, 1, 0]
+    beta_r = [1, 0, 2, 1, 4]
+    beta_s = [1, 3, 0, 2, 1]
+    n = 4
+    payload = {
+        "beta_M_over_R": [str(v) for v in beta_m],
+        "beta_T_over_R": [str(v) for v in beta_r],
+        "beta_T_over_S": [str(v) for v in beta_s],
+        "n": n,
+    }
+    code = cli.run(["betti", "--scenario", write_scenario(tmp_path, payload), "--json"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["label"] == "lower bound"
+    bound = se.TruncatedSeries.from_json(result["bound"])
+
+    def conv(x, y):
+        return [sum(x[j] * y[i - j] for j in range(i + 1)) for i in range(n + 1)]
+
+    rs = conv(beta_r, beta_s)
+    b = [beta_r[i] + beta_s[i] - rs[i] for i in range(n + 1)]
+    assert conv(bound, b) == conv(beta_m, beta_s)
+
+
 def test_classify_scenario(tmp_path, capsys):
     payload = {
         "data": {
@@ -150,13 +174,6 @@ def test_corpus_scenarios_validate_and_run(tmp_path, capsys):
         assert out["kind"] == doc["kind"]
 
 
-def test_docs_schemas_match_packaged_schemas():
-    for kind in cli.KINDS:
-        packaged = cli._load_schema(kind)
-        published = json.loads((REPO / "docs" / "schemas" / f"{kind}.json").read_text())
-        assert packaged == published, kind
-
-
 def test_exit_codes_are_distinct():
     assert len({cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_BUDGET,
                 cli.EXIT_INCONSISTENT}) == 4
@@ -197,3 +214,32 @@ def test_huge_characteristic_rejected_on_the_command_line(tmp_path, capsys):
     assert "characteristic" in capsys.readouterr().err
     # the largest admitted prime still runs
     assert cli.run(["resolve", "--scenario", path, "--char", str(2**31 - 1)]) == 0
+
+
+def test_zero_characteristic_is_a_validation_error(tmp_path, capsys):
+    payload = {"vars": ["x", "y"], "ideal": ["x*y"], "module": ["x", "y"], "max_hom": 2}
+    path = write_scenario(tmp_path, payload)
+    assert cli.run(["resolve", "--scenario", path, "--char", "0"]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    path = corpus_path(tmp_path, "lescot-xy")
+    assert cli.run(["verify", "--scenario", path, "--char", "0"]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    path = corpus_path(tmp_path, "lescot-xy")
+    for argv in (
+        ["verify"],
+        ["verify", "--scenario", path, "--order", "x"],
+        ["verify", "--scenario", path, "--bogus"],
+        ["verify", "--scenario", path, "--threads", "2"],
+    ):
+        assert cli.run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("validation error:"), argv
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out

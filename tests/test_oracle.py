@@ -152,11 +152,6 @@ class TestFiberPresentation:
 
 
 class TestDeterminism:
-    def test_thread_counts(self):
-        pres = QuotientPresentation.residue_field(ideal(["x^2", "x*y"], XY))
-        tables = [resolve(pres, 6, threads=t) for t in (1, 2, 4)]
-        assert tables[0].entries == tables[1].entries == tables[2].entries
-
     def test_dual_prime(self):
         for p in (32003, 65537):
             pres = QuotientPresentation.residue_field(ideal(["x*y^2"], XY), char=p)

@@ -83,6 +83,20 @@ class TestDominates:
             se.dominates(S(1, 2), S(1, 2, 3))
 
 
+class TestRelation:
+    def test_four_outcomes(self):
+        assert se.relation(S(1, 2, 2), S(1, 2, 2)) == ("equal", None)
+        assert se.relation(S(1, 3, 5), S(1, 2, 5)) == ("formula-dominates", 1)
+        assert se.relation(S(1, 2, 2), S(1, 2, 4)) == ("oracle-dominates", 2)
+        assert se.relation(S(1, 3, 1), S(1, 2, 2)) == ("incomparable", 1)
+
+    def test_unequal_orders_compare_to_the_shorter(self):
+        assert se.relation(S(1, 2), S(1, 2, 0, 9)) == ("equal", None)
+        assert se.relation(S(1, 2, 2, 0), S(1, 1)) == ("formula-dominates", 1)
+        assert se.relation(S(1, 1, 7), S(1, 2, 2, 9)) == ("incomparable", 1)
+        assert se.relation(S(1, 2, 3, 0), S(1, 2, 4)) == ("oracle-dominates", 2)
+
+
 class TestExpand:
     def test_long_division(self):
         f = RationalFunction(Polynomial((1, 2, 1)), Polynomial((1, 0, -1)))
