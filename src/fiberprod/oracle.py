@@ -346,46 +346,26 @@ def resolve(
                     out.setdefault(tuple(map(operator.add, alpha, m)), []).append(g)
         return out
 
-    def kernels_at(
-        prev: _FreeModule, current: _FreeModule, step: int, degree: int
-    ) -> List[Tuple[Monomial, List[int], List[Vector]]]:
-        """(beta, column generators, kernel) for each block of total degree d.
-
-        Step 0 maps F_0 = A onto A/J, so its rows are standard for J."""
-        blocks = []
-        for beta, cols in spread(current.degrees, degree).items():
-            row_ok: Dict[int, bool] = {}
-            images = []
-            for j in cols:
-                image = {}
-                for k, c in current.columns[j].items():
-                    if k not in row_ok:
-                        rest = tuple(map(operator.sub, beta, prev.degrees[k]))
-                        if step == 0:
-                            row_ok[k] = not pres.module_ideal.contains_monomial(rest)
-                        else:
-                            row_ok[k] = rest in standard_of(sum(rest))[1]
-                    if row_ok[k]:
-                        image[k] = c
-                images.append(image)
-            pivots, kernel = _echelon(images, p)
-            # rank-nullity audit: rank + dim ker = number of columns
-            if len(pivots) + len(kernel) != len(images):
-                raise InternalInconsistency(
-                    f"rank-nullity audit failed at multidegree {beta}: "
-                    f"{len(pivots)} + {len(kernel)} != {len(images)}"
-                )
-            if kernel:
-                blocks.append((beta, cols, kernel))
-        return blocks
-
     entries: Dict[Tuple[int, int], int] = {(0, 0): 1}
     complete = [True]
     zero = (0,) * n
-    # F_{-1} stands for the target A/J of the augmentation F_0 = A -> A/J
-    prev, current = _FreeModule([zero], []), _FreeModule([zero], [{0: 1}])
+    # F_1 = J/I needs no scan: its generators are the minimal generators of J
+    # outside I, each mapping onto the generator of F_0 = A; graded-lex order
+    # fixes the column order of every later step.  The hom-1 flag still
+    # records whether the budget covers the heuristic cutoff.
+    first: List[Monomial] = []
+    if max_hom:
+        cutoff = _internal_cutoff(pres, 1)
+        first = [
+            g for g in pres.module_ideal.sorted_generators()
+            if not pres.ideal.contains_monomial(g) and sum(g) <= min(max_internal, cutoff)
+        ]
+        for g in first:
+            entries[(1, sum(g))] = entries.get((1, sum(g)), 0) + 1
+        complete.append(max_internal >= cutoff)
+    prev, current = _FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])
 
-    for i in range(max_hom):
+    for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
         cutoff = min(max_internal, _internal_cutoff(pres, i + 1))
         budget_hit = cutoff < _internal_cutoff(pres, i + 1)
@@ -401,7 +381,27 @@ def resolve(
             # multiples of generators found in lower degrees, by block
             multiples = spread(new.degrees, d)
             fresh = 0
-            for beta, cols, kernel in kernels_at(prev, current, i, d):
+            for beta, cols in spread(current.degrees, d).items():
+                row_ok: Dict[int, bool] = {}
+                images = []
+                for j in cols:
+                    image = {}
+                    for k, c in current.columns[j].items():
+                        if k not in row_ok:
+                            rest = tuple(map(operator.sub, beta, prev.degrees[k]))
+                            row_ok[k] = rest in standard_of(sum(rest))[1]
+                        if row_ok[k]:
+                            image[k] = c
+                    images.append(image)
+                pivots, kernel = _echelon(images, p)
+                # rank-nullity audit: rank + dim ker = number of columns
+                if len(pivots) + len(kernel) != len(images):
+                    raise InternalInconsistency(
+                        f"rank-nullity audit failed at multidegree {beta}: "
+                        f"{len(pivots)} + {len(kernel)} != {len(images)}"
+                    )
+                if not kernel:
+                    continue
                 position = {j: c for c, j in enumerate(cols)}
                 span = [
                     {position[j]: c for j, c in new.columns[g].items() if j in position}

@@ -48,13 +48,6 @@ class TruncatedSeries:
             )
         return TruncatedSeries(self.coeffs[: order + 1])
 
-    def pad(self, order: int) -> "TruncatedSeries":
-        """Extend with zero coefficients.  Only for polynomial data whose
-        higher coefficients are genuinely zero, never for truncated unknowns."""
-        if order < self.order:
-            return self.truncate(order)
-        return TruncatedSeries(self.coeffs + (0,) * (order - self.order))
-
     def to_json(self) -> list:
         return [str(c) for c in self.coeffs]
 

@@ -45,17 +45,6 @@ class RingInvariants:
         ):
             raise ValidationError("a CM hypersurface has edim - depth <= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "depth": self.depth,
-            "edim": self.edim,
-            "is_regular": self.is_regular,
-            "is_cohen_macaulay": self.is_cohen_macaulay,
-            "is_hypersurface": self.is_hypersurface,
-            "is_complete_intersection": self.is_complete_intersection,
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "RingInvariants":
         return cls(
@@ -112,22 +101,6 @@ class FiberData:
             raise ValidationError("beta2_T_over_S must be nonnegative")
         if self.T_is_residue_field and (self.T.dim != 0 or self.T.depth != 0):
             raise ValidationError("the residue field has dim = depth = 0")
-
-    def to_json(self) -> dict:
-        return {
-            "R": self.R.to_json(),
-            "S": self.S.to_json(),
-            "T": self.T.to_json(),
-            "grade_mR": self.grade_mR,
-            "grade_mS": self.grade_mS,
-            "grade_mT": self.grade_mT,
-            "beta1_T_over_R": self.beta1_T_over_R,
-            "beta1_T_over_S": self.beta1_T_over_S,
-            "beta2_T_over_S": self.beta2_T_over_S,
-            "T_is_residue_field": self.T_is_residue_field,
-            "gamma_mR_in_ker": self.gamma_mR_in_ker,
-            "is_large": self.is_large,
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "FiberData":
@@ -268,7 +241,7 @@ def _tri_and(*values: Optional[bool]) -> Optional[bool]:
     return None
 
 
-def classify(data: FiberData, depth_fiber: Optional[int] = None) -> StructureReport:
+def classify(data: FiberData) -> StructureReport:
     """Structural verdicts for the product ring.
 
     regular is always False.  The other three are one-directional statements

@@ -226,6 +226,14 @@ def test_zero_characteristic_is_a_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error:")
 
 
+def test_verify_order_zero_is_a_validation_error(tmp_path, capsys):
+    path = corpus_path(tmp_path, "lescot-xy")
+    assert cli.run(["verify", "--scenario", path, "--order", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "order" in err and "trivial" not in err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     path = corpus_path(tmp_path, "lescot-xy")
     for argv in (

@@ -101,6 +101,38 @@ class TestResolve:
                                  ideal(["x^2"], XY))
 
 
+class TestFirstSyzygy:
+    """F_1 = J/I is seeded from the minimal generators of J outside I."""
+
+    def test_zero_first_syzygy_keeps_budget_flag(self):
+        # A = k[x]/(x^2), J = (x^2): J/I = 0, yet hom 1 is flagged by the
+        # budget and the empty step after it is complete
+        x = ["x"]
+        pres = QuotientPresentation(1, DEFAULT_CHAR, ideal(["x^2"], x), ideal(["x^2"], x))
+        table = resolve(pres, 2, max_internal=4)
+        assert table.entries == {(0, 0): 1}
+        assert table.complete == [True, False, True]
+
+    def test_generator_above_budget_is_dropped(self):
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x^2"], XY),
+                                    ideal(["x", "y^3"], XY))
+        table = resolve(pres, 2, max_internal=2)
+        assert table.entries == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+        assert table.complete == [True, False, False]
+        # within the budget y^3 is kept, but hom 1 stays short of the cutoff
+        table = resolve(pres, 2, max_internal=3)
+        assert table.entries == {(0, 0): 1, (1, 1): 1, (1, 3): 1, (2, 2): 1}
+        assert table.complete == [True, False, False]
+
+    def test_module_generator_inside_ring_ideal_is_skipped(self):
+        # J = (xy, y^2) over A = k[x,y]/(xy): xy is zero in A, so F_1 = A(-2)
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x*y"], XY),
+                                    ideal(["x*y", "y^2"], XY))
+        table = resolve(pres, 4)
+        assert table.entries == {(0, 0): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1}
+        assert all(table.complete)
+
+
 class TestPoincareTruncation:
     def test_koszul_two_vars(self):
         pres = QuotientPresentation.residue_field(MonomialIdeal.zero(2))
