@@ -151,17 +151,16 @@ def run_verify(
     p_T_over_R = truncation(I, total)
     p_T_over_S = truncation(J, total)
 
-    inputs = PoincareInputs(p_M_over_R, p_T_over_R, p_T_over_S, is_large=is_large)
-    formula = fiber.fiber_series(inputs, order)
+    formula = fiber.fiber_series(PoincareInputs(p_M_over_R, p_T_over_R, p_T_over_S), order)
     oracle_series = truncation(intersection, module)
 
-    relation, first = series.relation(formula.series, oracle_series)
+    relation, first = series.relation(formula, oracle_series)
     notes = tuple(payload.get("notes", [])) + (
         "formula: closed rational form for the product ring",
         "oracle: graded minimal resolution over the same-ambient presentation",
         f"largeness asserted: {is_large}",
     )
-    report = VerifyReport(formula.series, oracle_series, relation, first, is_large, notes)
+    report = VerifyReport(formula, oracle_series, relation, first, is_large, notes)
     if is_large and relation != "equal":
         raise InternalInconsistency(
             f"large fiber product must match the oracle exactly, got {relation} "

@@ -6,9 +6,10 @@ quotient T is
     p_M * p_T_over_S / (p_T_over_R + p_T_over_S - p_T_over_R * p_T_over_S).
 
 For a large fiber product this is the exact Poincare series of M over the
-product ring; in general it is a claimed coefficientwise bound and is labeled
-as such rather than asserted.  The Betti-number machinery (the b_i / B_i
-recurrence and the low-index closed forms) lives here as well.
+product ring; in general it is a claimed coefficientwise bound.  Which of the
+two a value is stays with the caller, which knows what it asserted.  The
+Betti-number machinery (the b_i / B_i recurrence and the low-index closed
+forms) lives here as well.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ def _check_quotient_series(p: TruncatedSeries, name: str) -> None:
         raise ValidationError(f"{name} has a negative coefficient")
     if p[0] != 1:
         raise InvalidBetti(f"{name} must have constant term 1 (cyclic module), got {p[0]}")
-    if p.order < 1 or p[1] < 1:
+    if p.order < 1:
+        raise OrderMismatch(
+            f"{name} has order {p.order}; nontriviality needs coefficient 1, so order >= 1"
+        )
+    if p[1] < 1:
         raise TrivialFiberProduct(
             f"{name} needs coefficient 1 >= 1: a free common quotient makes the "
             "fiber product trivial"
@@ -53,22 +58,16 @@ class PoincareInputs:
 
     p_M_over_R: series of the module M over R.
     p_T_over_R, p_T_over_S: series of the common quotient T over R and S.
-    is_large: caller-asserted largeness of both projections.
     """
 
     p_M_over_R: TruncatedSeries
     p_T_over_R: TruncatedSeries
     p_T_over_S: TruncatedSeries
-    is_large: bool = False
 
     def __post_init__(self):
         _check_module_series(self.p_M_over_R, "p_M_over_R")
         _check_quotient_series(self.p_T_over_R, "p_T_over_R")
         _check_quotient_series(self.p_T_over_S, "p_T_over_S")
-
-    @property
-    def max_order(self) -> int:
-        return min(self.p_M_over_R.order, self.p_T_over_R.order, self.p_T_over_S.order)
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,6 @@ class BettiSequence:
         return cls(tuple(int(v) for v in data))
 
 
-@dataclass(frozen=True)
-class FiberSeriesResult:
-    """Formula value plus its epistemic status: exact for a large fiber
-    product, otherwise the claimed bound reported without assertion."""
-
-    series: TruncatedSeries
-    exact: bool
-
-    @property
-    def label(self) -> str:
-        return "exact" if self.exact else "claimed-bound"
-
-
 def syzygy_shift(p: TruncatedSeries) -> Tuple[int, TruncatedSeries]:
     """Split off the minimal generator count: p = mu + t * (series of the
     first syzygy)."""
@@ -135,6 +121,11 @@ def large_compose(p_M_over_S: TruncatedSeries, p_S_over_A: TruncatedSeries) -> T
     return se.mul(p_M_over_S, p_S_over_A)
 
 
+def _denominator(r: TruncatedSeries, s: TruncatedSeries) -> TruncatedSeries:
+    """r + s - r * s, unchecked."""
+    return se.sub(se.add(r, s), se.mul(r, s))
+
+
 def fiber_denominator(
     p_T_over_R: TruncatedSeries, p_T_over_S: TruncatedSeries
 ) -> TruncatedSeries:
@@ -145,23 +136,21 @@ def fiber_denominator(
     """
     _check_quotient_series(p_T_over_R, "p_T_over_R")
     _check_quotient_series(p_T_over_S, "p_T_over_S")
-    return se.sub(se.add(p_T_over_R, p_T_over_S), se.mul(p_T_over_R, p_T_over_S))
+    return _denominator(p_T_over_R, p_T_over_S)
 
 
-def fiber_series(inputs: PoincareInputs, order: int) -> FiberSeriesResult:
+def fiber_series(inputs: PoincareInputs, order: int) -> TruncatedSeries:
     """Evaluate the closed-form series for M over the fiber product.
 
     Requesting an order beyond what the inputs support is an error: padding
-    would fabricate Betti data.
+    would fabricate Betti data.  The inputs were checked when they were built.
     """
-    if order > inputs.max_order:
-        raise OrderMismatch(
-            f"order {order} exceeds the supported input order {inputs.max_order}"
-        )
+    supported = min(inputs.p_M_over_R.order, inputs.p_T_over_R.order, inputs.p_T_over_S.order)
+    if order > supported:
+        raise OrderMismatch(f"order {order} exceeds the supported input order {supported}")
     num = se.mul(inputs.p_M_over_R, inputs.p_T_over_S)
-    den = fiber_denominator(inputs.p_T_over_R, inputs.p_T_over_S)
-    out = se.mul(num, se.invert(den)).truncate(order)
-    return FiberSeriesResult(out, exact=inputs.is_large)
+    den = _denominator(inputs.p_T_over_R, inputs.p_T_over_S)
+    return se.mul(num, se.invert(den)).truncate(order)
 
 
 def amalgamated_series(
@@ -192,9 +181,9 @@ def betti_b(
     n = min(len(beta_T_over_R), len(beta_T_over_S)) - 1
     if order > n:
         raise OrderMismatch(f"order {order} exceeds the supported input order {n}")
-    r = beta_T_over_R.as_series().truncate(order)
-    s = beta_T_over_S.as_series().truncate(order)
-    return se.sub(se.add(r, s), se.mul(r, s))
+    return _denominator(
+        beta_T_over_R.as_series().truncate(order), beta_T_over_S.as_series().truncate(order)
+    )
 
 
 def betti_B(b: TruncatedSeries) -> TruncatedSeries:
@@ -232,13 +221,7 @@ def betti_bound(
     return BettiSequence(se.mul(a, se.invert(b)).coeffs)
 
 
-@dataclass(frozen=True)
-class EdimBound:
-    value: int
-    exact: bool
-
-
-def edim_bound(edim_R: int, beta1_T_over_S: int, is_large: bool) -> EdimBound:
+def edim_bound(edim_R: int, beta1_T_over_S: int) -> int:
     """beta_1^S(T) + edim(R); an equality for large fiber products."""
     if edim_R < 1:
         raise TrivialFiberProduct(
@@ -246,4 +229,4 @@ def edim_bound(edim_R: int, beta1_T_over_S: int, is_large: bool) -> EdimBound:
         )
     if beta1_T_over_S < 1:
         raise TrivialFiberProduct("beta_1^S(T) = 0 makes the fiber product trivial")
-    return EdimBound(beta1_T_over_S + edim_R, exact=is_large)
+    return beta1_T_over_S + edim_R

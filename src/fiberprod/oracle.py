@@ -208,7 +208,6 @@ class GradedBettiTable:
 
     entries: Dict[Tuple[int, int], int]
     max_hom: int
-    max_internal: int
     complete: List[bool]
 
     def total(self, i: int) -> int:
@@ -217,9 +216,8 @@ class GradedBettiTable:
     def totals(self) -> List[int]:
         return [self.total(i) for i in range(self.max_hom + 1)]
 
-    def is_complete_through(self, max_hom: Optional[int] = None) -> bool:
-        hi = self.max_hom if max_hom is None else max_hom
-        return all(self.complete[: hi + 1])
+    def is_complete_through(self) -> bool:
+        return all(self.complete)
 
     def to_json(self) -> dict:
         betti = sorted((i, j, v) for (i, j), v in self.entries.items() if v)
@@ -368,14 +366,10 @@ def resolve(
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
         cutoff = min(max_internal, _internal_cutoff(pres, i + 1))
-        budget_hit = cutoff < _internal_cutoff(pres, i + 1)
-
-        if not current.degrees:
-            complete.append(True)
-            prev, current = current, _FreeModule([], [])
-            continue
-
-        degrees = range(min(sum(a) for a in current.degrees) + 1, cutoff + 1)
+        # an empty F_i has no kernel in any degree, so no budget can hide a
+        # generator of F_{i+1}: the step is then exactly as complete as F_i
+        budget_hit = bool(current.degrees) and cutoff < _internal_cutoff(pres, i + 1)
+        degrees = range(min((sum(a) for a in current.degrees), default=cutoff) + 1, cutoff + 1)
         new = _FreeModule([], [])
         for d in degrees:
             # multiples of generators found in lower degrees, by block
@@ -424,7 +418,7 @@ def resolve(
         complete.append(degree_complete and complete[i])
         prev, current = current, new
 
-    return GradedBettiTable(entries, max_hom, max_internal, complete)
+    return GradedBettiTable(entries, max_hom, complete)
 
 
 def poincare_truncation(

@@ -60,12 +60,6 @@ class TruncatedSeries:
         return cls((1,) + (0,) * order)
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    holds: bool
-    first_violation: Optional[int] = None
-
-
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
     return TruncatedSeries(tuple(a[i] + b[i] for i in range(n + 1)))
@@ -105,28 +99,16 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return mul(a, invert(b))
 
 
-def dominates(a: TruncatedSeries, b: TruncatedSeries) -> DominanceReport:
-    if a.order != b.order:
-        raise OrderMismatch(
-            f"dominance compares equal orders, got {a.order} and {b.order}"
-        )
-    for i in range(a.order + 1):
-        if a[i] < b[i]:
-            return DominanceReport(False, i)
-    return DominanceReport(True)
-
-
 def relation(a: TruncatedSeries, b: TruncatedSeries) -> Tuple[str, Optional[int]]:
     """Coefficientwise relation of a (formula) against b (oracle) up to the
     shorter order, with the first index where they differ."""
-    n = min(a.order, b.order)
-    a, b = a.truncate(n), b.truncate(n)
-    first = next((i for i in range(n + 1) if a[i] != b[i]), None)
+    pairs = list(zip(a.coeffs, b.coeffs))  # zip stops at the shorter order
+    first = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
     if first is None:
         return "equal", None
-    if dominates(a, b).holds:
+    if all(x >= y for x, y in pairs):
         return "formula-dominates", first
-    if dominates(b, a).holds:
+    if all(x <= y for x, y in pairs):
         return "oracle-dominates", first
     return "incomparable", first
 

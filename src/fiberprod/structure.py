@@ -217,12 +217,7 @@ class StructureReport:
     complete_intersection: Predicate
 
     def to_json(self) -> dict:
-        return {
-            "regular": self.regular.to_json(),
-            "hypersurface": self.hypersurface.to_json(),
-            "cohen_macaulay": self.cohen_macaulay.to_json(),
-            "complete_intersection": self.complete_intersection.to_json(),
-        }
+        return {name: pred.to_json() for name, pred in self.rows()}
 
     def rows(self) -> List[Tuple[str, Predicate]]:
         return [

@@ -132,7 +132,7 @@ def test_criterion_6_nonnegativity():
         b = fiber.betti_b(x, y, length - 1)
         assert fiber.betti_B(b).is_nonnegative()
         inputs = PoincareInputs(m.as_series(), x.as_series(), y.as_series())
-        assert fiber.fiber_series(inputs, length - 1).series.is_nonnegative()
+        assert fiber.fiber_series(inputs, length - 1).is_nonnegative()
     report(6, "B_i >= 0 and nonnegative closed-form series, 100 random inputs")
 
 

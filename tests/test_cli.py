@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fiberprod import cli, series as se
+from fiberprod import cli, fiber, oracle, series as se
 
 
 def write_scenario(tmp_path, doc):
@@ -172,6 +172,27 @@ def test_corpus_scenarios_validate_and_run(tmp_path, capsys):
         assert code == 0, sid
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == doc["kind"]
+
+
+def test_betti_and_verify_evaluate_one_bound_on_the_corpus():
+    # `betti` inverts b = r + s - r*s on Betti sequences and `verify` divides
+    # series; fed the oracle's three input series, both give one sequence
+    for sid in cli.corpus_ids():
+        payload = cli.load_corpus_scenario(sid)["payload"]
+        n = len(payload["vars"])
+        I, J, module = (oracle.ideal_from_json(payload[key], payload["vars"])
+                        for key in ("I", "J", "module"))
+        _, total = oracle.fiber_presentation(I, J)
+
+        def betti(base, extra):
+            pres = oracle.QuotientPresentation(
+                n, payload["char"], base, oracle.MonomialIdeal(n, base.generators | extra.generators)
+            )
+            return fiber.BettiSequence(oracle.poincare_truncation(pres, payload["order"]).coeffs)
+
+        bound = fiber.betti_bound(betti(I, module), betti(I, total), betti(J, total),
+                                  payload["order"])
+        assert bound.values == cli.run_verify(payload).formula_series.coeffs, sid
 
 
 def test_exit_codes_are_distinct():

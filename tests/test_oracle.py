@@ -106,12 +106,23 @@ class TestFirstSyzygy:
 
     def test_zero_first_syzygy_keeps_budget_flag(self):
         # A = k[x]/(x^2), J = (x^2): J/I = 0, yet hom 1 is flagged by the
-        # budget and the empty step after it is complete
+        # budget, and the empty step after it cannot be more complete
         x = ["x"]
         pres = QuotientPresentation(1, DEFAULT_CHAR, ideal(["x^2"], x), ideal(["x^2"], x))
         table = resolve(pres, 2, max_internal=4)
         assert table.entries == {(0, 0): 1}
-        assert table.complete == [True, False, True]
+        assert table.complete == [True, False, False]
+
+    def test_step_emptied_by_the_budget_is_incomplete(self):
+        # A = k[x]/(x^4), J = (x^3): the budget drops x^3, so F_1 comes out
+        # empty and beta_2 reads 0, although the full resolution has
+        # beta_2 = 1 (at x^4); neither step may be flagged complete
+        x = ["x"]
+        pres = QuotientPresentation(1, DEFAULT_CHAR, ideal(["x^4"], x), ideal(["x^3"], x))
+        table = resolve(pres, 2, max_internal=2)
+        assert table.totals() == [1, 0, 0]
+        assert table.complete == [True, False, False]
+        assert resolve(pres, 2).totals() == [1, 1, 1]
 
     def test_generator_above_budget_is_dropped(self):
         pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x^2"], XY),
