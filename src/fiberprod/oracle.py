@@ -25,7 +25,7 @@ from .errors import (
     TrivialFiberProduct,
     ValidationError,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, invert
 
 DEFAULT_CHAR = 32003
 # Characteristics are capped so that primality testing stays instant.
@@ -204,11 +204,13 @@ class QuotientPresentation:
 
 @dataclass
 class GradedBettiTable:
-    """beta_{i,j} entries plus a completeness flag per homological degree."""
+    """beta_{i,j} entries plus, per homological degree, a completeness flag
+    and the rule that bounded its scan (see ``_cutoff``)."""
 
     entries: Dict[Tuple[int, int], int]
     max_hom: int
     complete: List[bool]
+    reasons: List[str]
 
     def total(self, i: int) -> int:
         return sum(v for (h, _), v in self.entries.items() if h == i)
@@ -235,6 +237,7 @@ class GradedBettiTable:
         flags = " ".join("ok" if c else "??" for c in self.complete)
         lines.append(f"totals: {self.totals()}")
         lines.append(f"complete: {flags}")
+        lines.append(f"cutoffs: {' '.join(self.reasons)}")
         return "\n".join(lines)
 
 
@@ -295,10 +298,49 @@ class _FreeModule:
     columns: List[Vector]
 
 
-def _internal_cutoff(pres: QuotientPresentation, hom_degree: int) -> int:
-    """Heuristic regularity slack: max generator degree times (i + 1), plus 1."""
-    d = max(pres.ideal.max_degree(), pres.module_ideal.max_degree(), 1)
-    return d * (hom_degree + 1) + 1
+def _is_residue_field(pres: QuotientPresentation) -> bool:
+    """J is the maximal ideal: n minimal generators, all linear."""
+    J = pres.module_ideal
+    return len(J.generators) == pres.num_vars and J.max_degree() == 1
+
+
+def _cutoff(pres: QuotientPresentation, i: int) -> Tuple[int, str]:
+    """A degree bound on t_i, the largest internal degree of a generator of
+    F_i, and the rule that gives it; the first rule that applies wins.
+
+    - ``generators``: F_1 = J/I is written down exactly, so t_1 is the largest
+      degree of a minimal generator of J outside I.
+    - ``backelin``: for the residue field over A = P/I with I monomial and
+      generated in degree <= m, rate(A) <= m - 1 (J. Backelin, On the rates
+      of growth of the homologies of Veronese subrings, LNM 1183, 1986), so
+      t_i <= max(i, 1 + (m - 1)(i - 1)).
+    - ``taylor``: over P itself (I = 0) the Taylor resolution of P/J is a
+      free resolution whose i-th module sits in the lcm degrees of i
+      generators of J, and the minimal resolution is a summand of it, so
+      t_i <= min(i m_J, deg lcm(J)).
+    - ``koszul``: a quotient by monomials of degree <= 2 is Koszul (Froberg,
+      Determination of a class of Poincare series, 1975), so
+      reg_A(A/J) <= reg_P(P/J) (Avramov-Eisenbud, Regularity of modules over
+      a Koszul algebra, 1992) and t_i <= i + reg_P(P/J); Taylor bounds
+      reg_P(P/J) over 1 <= j <= pd_P(P/J) <= min(n, #gens J).
+    - ``heuristic``: D (i + 1) + 1, D the largest generator degree; unproven.
+    """
+    I, J = pres.ideal, pres.module_ideal
+    if i == 1:
+        return max((sum(g) for g in J.generators if not I.contains_monomial(g)),
+                   default=0), "generators"
+    if _is_residue_field(pres):
+        return max(i, 1 + (I.max_degree() - 1) * (i - 1)), "backelin"
+    m_J = J.max_degree()
+    lcm_J = sum(map(max, zip(*J.generators))) if J.generators else 0
+    if I.is_zero():
+        return min(i * m_J, lcm_J), "taylor"
+    if I.max_degree() <= 2:
+        reg = max((min(j * m_J, lcm_J) - j
+                   for j in range(1, min(pres.num_vars, len(J.generators)) + 1)),
+                  default=0)
+        return i + reg, "koszul"
+    return max(I.max_degree(), m_J, 1) * (i + 1) + 1, "heuristic"
 
 
 def resolve(
@@ -311,14 +353,19 @@ def resolve(
     Every map is Z^n-graded, so the kernel at total degree d is computed one
     multidegree block beta (|beta| = d) at a time: columns (beta - alpha_j, j)
     of the current module, rows (beta - alpha_k, k) of the previous one, both
-    with a standard monomial.  Homological degrees whose internal-degree scan
-    was cut short by ``max_internal`` are flagged incomplete in the returned
-    table; no exception is raised here.
+    with a standard monomial.  Step i is scanned up to ``_cutoff(pres, i)``;
+    with a proven bound the step is complete once the scan reaches it.
+    Homological degrees whose scan was cut short by ``max_internal`` are
+    flagged incomplete in the returned table; no exception is raised here.
+    Before returning, the table is checked against the Hilbert function of
+    A/J (and, for k over a quadratic A, against Froberg's 1/H_A(-z)); a
+    failed check raises ``InternalInconsistency``.
     """
     if max_hom < 0:
         raise ValidationError("max_hom must be nonnegative")
     if max_internal is None:
-        max_internal = _internal_cutoff(pres, max_hom)
+        # every rule's bound grows with i, so the top one covers every step
+        max_internal = max(max_hom, _cutoff(pres, max_hom)[0])
     if max_internal < max_hom:
         raise ValidationError("max_internal must be at least max_hom")
     p = pres.char
@@ -346,29 +393,31 @@ def resolve(
 
     entries: Dict[Tuple[int, int], int] = {(0, 0): 1}
     complete = [True]
+    reasons = ["generators"]
     zero = (0,) * n
     # F_1 = J/I needs no scan: its generators are the minimal generators of J
     # outside I, each mapping onto the generator of F_0 = A; graded-lex order
-    # fixes the column order of every later step.  The hom-1 flag still
-    # records whether the budget covers the heuristic cutoff.
+    # fixes the column order of every later step.
     first: List[Monomial] = []
     if max_hom:
-        cutoff = _internal_cutoff(pres, 1)
+        bound, reason = _cutoff(pres, 1)
         first = [
             g for g in pres.module_ideal.sorted_generators()
-            if not pres.ideal.contains_monomial(g) and sum(g) <= min(max_internal, cutoff)
+            if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
         ]
         for g in first:
             entries[(1, sum(g))] = entries.get((1, sum(g)), 0) + 1
-        complete.append(max_internal >= cutoff)
+        complete.append(max_internal >= bound)
+        reasons.append(reason)
     prev, current = _FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])
 
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
-        cutoff = min(max_internal, _internal_cutoff(pres, i + 1))
+        bound, reason = _cutoff(pres, i + 1)
+        cutoff = min(max_internal, bound)
         # an empty F_i has no kernel in any degree, so no budget can hide a
         # generator of F_{i+1}: the step is then exactly as complete as F_i
-        budget_hit = bool(current.degrees) and cutoff < _internal_cutoff(pres, i + 1)
+        budget_hit = bool(current.degrees) and cutoff < bound
         degrees = range(min((sum(a) for a in current.degrees), default=cutoff) + 1, cutoff + 1)
         new = _FreeModule([], [])
         for d in degrees:
@@ -410,15 +459,51 @@ def resolve(
                         fresh += 1
             if fresh:
                 entries[(i + 1, d)] = fresh
-        # every kernel vector at the cutoff degree must already lie in the
-        # span of lower-degree generator multiples
-        degree_complete = not degrees or (i + 1, degrees[-1]) not in entries
-        if budget_hit:
-            degree_complete = False
-        complete.append(degree_complete and complete[i])
+        # a proven bound leaves no generator above the scan; the heuristic
+        # asks that no kernel vector at the last degree scanned was new
+        degree_complete = (reason != "heuristic" or not degrees
+                           or (i + 1, degrees[-1]) not in entries)
+        complete.append(degree_complete and not budget_hit and complete[i])
+        reasons.append(reason)
         prev, current = current, new
 
-    return GradedBettiTable(entries, max_hom, complete)
+    table = GradedBettiTable(entries, max_hom, complete, reasons)
+    _certify(pres, table, [standard_of(d)[0] for d in range(max_hom + 1)])
+    return table
+
+
+def _certify(
+    pres: QuotientPresentation, table: GradedBettiTable, standard: List[List[Monomial]]
+) -> None:
+    """Check a table against the Hilbert function of A; raise
+    ``InternalInconsistency`` if it fails.  ``standard[d]`` is the standard
+    monomial basis of A in degree d, for d <= max_hom.
+
+    A generator of internal degree j has homological degree at most j, and
+    every generator of degree j <= max_hom <= max_internal was scanned for,
+    so for d <= max_hom the Euler characteristic of the resolution in degree d
+    is exact even under a budget:
+    sum_{i,j} (-1)^i beta_{i,j} H_A(d - j) = H_{A/J}(d).  For k over a Koszul
+    A (monomials of degree <= 2, Froberg 1975) the totals are also the
+    coefficients of 1/H_A(-z).
+    """
+    hilbert = [len(basis) for basis in standard]
+    for d, basis in enumerate(standard):
+        euler = sum((-1) ** i * v * hilbert[d - j]
+                    for (i, j), v in table.entries.items() if j <= d)
+        quotient = sum(1 for m in basis if not pres.module_ideal.contains_monomial(m))
+        if euler != quotient:
+            raise InternalInconsistency(
+                f"Euler characteristic {euler} of the resolution in degree {d} "
+                f"differs from the Hilbert function {quotient} of A/J"
+            )
+    if _is_residue_field(pres) and pres.ideal.max_degree() <= 2:
+        froberg = invert(TruncatedSeries(tuple((-1) ** d * h for d, h in enumerate(hilbert))))
+        if table.totals() != list(froberg.coeffs):
+            raise InternalInconsistency(
+                f"totals {table.totals()} of k over a Koszul ring differ from "
+                f"1/H_A(-z) = {list(froberg.coeffs)}"
+            )
 
 
 def poincare_truncation(

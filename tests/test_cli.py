@@ -157,7 +157,8 @@ def test_resolve_scenario(tmp_path, capsys):
 
 
 def test_resolve_budget_exit_code(tmp_path, capsys):
-    payload = {"vars": ["x", "y"], "ideal": ["x*y"], "module": ["x", "y"],
+    # k over k[x,y]/(xy^2): t_6 = 9 exceeds the budget of 6
+    payload = {"vars": ["x", "y"], "ideal": ["x*y^2"], "module": ["x", "y"],
                "max_hom": 6}
     code = cli.run(["resolve", "--scenario", write_scenario(tmp_path, payload),
                     "--max-internal", "6"])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,7 +90,9 @@ class TestResolve:
         assert table.totals() == [1, 2, 2, 2, 2, 2]
 
     def test_budget_flagging(self):
-        pres = QuotientPresentation.residue_field(ideal(["x*y"], XY))
+        # the Backelin bound max(6, 1 + 2 * 5) = 11 lies above the budget;
+        # the true t_6 is 9
+        pres = QuotientPresentation.residue_field(ideal(["x*y^2"], XY))
         table = resolve(pres, 6, max_internal=6)
         assert not table.is_complete_through()
         with pytest.raises(BudgetExceeded):
@@ -104,14 +107,14 @@ class TestResolve:
 class TestFirstSyzygy:
     """F_1 = J/I is seeded from the minimal generators of J outside I."""
 
-    def test_zero_first_syzygy_keeps_budget_flag(self):
-        # A = k[x]/(x^2), J = (x^2): J/I = 0, yet hom 1 is flagged by the
-        # budget, and the empty step after it cannot be more complete
+    def test_zero_first_syzygy_is_complete_under_any_budget(self):
+        # A = k[x]/(x^2), J = (x^2): J/I = 0, so the budget drops nothing
+        # and the empty steps after it are complete
         x = ["x"]
         pres = QuotientPresentation(1, DEFAULT_CHAR, ideal(["x^2"], x), ideal(["x^2"], x))
         table = resolve(pres, 2, max_internal=4)
         assert table.entries == {(0, 0): 1}
-        assert table.complete == [True, False, False]
+        assert table.complete == [True, True, True]
 
     def test_step_emptied_by_the_budget_is_incomplete(self):
         # A = k[x]/(x^4), J = (x^3): the budget drops x^3, so F_1 comes out
@@ -130,10 +133,11 @@ class TestFirstSyzygy:
         table = resolve(pres, 2, max_internal=2)
         assert table.entries == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
         assert table.complete == [True, False, False]
-        # within the budget y^3 is kept, but hom 1 stays short of the cutoff
+        # within the budget y^3 is kept and hom 1 is complete, but hom 2
+        # stops short of its Koszul bound 2 + reg_P(P/(x, y^3)) = 4
         table = resolve(pres, 2, max_internal=3)
         assert table.entries == {(0, 0): 1, (1, 1): 1, (1, 3): 1, (2, 2): 1}
-        assert table.complete == [True, False, False]
+        assert table.complete == [True, True, False]
 
     def test_module_generator_inside_ring_ideal_is_skipped(self):
         # J = (xy, y^2) over A = k[x,y]/(xy): xy is zero in A, so F_1 = A(-2)
@@ -142,6 +146,89 @@ class TestFirstSyzygy:
         table = resolve(pres, 4)
         assert table.entries == {(0, 0): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1}
         assert all(table.complete)
+
+
+class TestCutoff:
+    """Each rule of ``oracle._cutoff`` on a case it decides."""
+
+    def test_generators_bound_hom_1_by_J_outside_I(self):
+        # xy lies in I, so only y^2 counts
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x*y"], XY),
+                                    ideal(["x*y", "y^2"], XY))
+        assert oracle._cutoff(pres, 1) == (2, "generators")
+
+    def test_backelin_bound_is_reached_exactly(self):
+        # k over k[x]/(x^3): t_2 = 3 = max(2, 1 + 2 * 1), a generator at the
+        # bound itself; scanning through the bound proves the step complete
+        pres = QuotientPresentation.residue_field(ideal(["x^3"], ["x"]))
+        assert oracle._cutoff(pres, 2) == (3, "backelin")
+        table = resolve(pres, 2, max_internal=3)
+        assert table.entries == {(0, 0): 1, (1, 1): 1, (2, 3): 1}
+        assert table.complete == [True, True, True]
+        assert table.reasons == ["generators", "generators", "backelin"]
+        assert resolve(pres, 2, max_internal=2).complete == [True, True, False]
+
+    def test_taylor_bound_over_the_polynomial_ring(self):
+        # P/(x^2, xy, y^3): lcm x^2 y^3 caps t_2 at 5; the true t_2 is 4
+        pres = QuotientPresentation(2, DEFAULT_CHAR, MonomialIdeal.zero(2),
+                                    ideal(["x^2", "x*y", "y^3"], XY))
+        assert oracle._cutoff(pres, 2) == (5, "taylor")
+        table = resolve(pres, 3)
+        assert table.entries == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 4): 1}
+        assert all(table.complete)
+
+    def test_koszul_bound_from_the_ambient_regularity(self):
+        # A = k[x,y]/(xy), M = A/(x^2, y): reg_P(P/(x^2, y)) <= 1 by Taylor
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x*y"], XY),
+                                    ideal(["x^2", "y"], XY))
+        assert [oracle._cutoff(pres, i) for i in (2, 3)] == [(3, "koszul"), (4, "koszul")]
+        table = resolve(pres, 4)
+        assert all(table.complete)
+        assert all(j <= i + 1 for (i, j) in table.entries)
+
+    def test_heuristic_otherwise(self):
+        # a cubic relation and a module that is not k: no proven bound
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x^3"], XY),
+                                    ideal(["x^2", "y"], XY))
+        assert oracle._cutoff(pres, 2) == (10, "heuristic")
+        assert resolve(pres, 3).reasons[2:] == ["heuristic", "heuristic"]
+
+
+def _random_presentation(rng):
+    n = rng.randint(1, 3)
+
+    def monomial(top):
+        while True:
+            m = tuple(rng.randint(0, top) for _ in range(n))
+            if sum(m):
+                return m
+
+    rule = rng.choice(["backelin", "taylor", "koszul", "heuristic"])
+    if rule == "taylor":
+        I = MonomialIdeal.zero(n)
+    else:
+        gens = [monomial(2) for _ in range(rng.randint(1, 3))]
+        if rule == "koszul":
+            gens = [g for g in gens if sum(g) <= 2] or [(1,) * min(n, 2) + (0,) * (n - 2)]
+        I = MonomialIdeal.of(n, gens)
+    if rule == "backelin":
+        return QuotientPresentation.residue_field(I), rng.randint(1, 4)
+    J = MonomialIdeal(n, I.generators | {monomial(2) for _ in range(rng.randint(1, 2))})
+    return QuotientPresentation(n, DEFAULT_CHAR, I, J), rng.randint(1, 4)
+
+
+def test_wider_heuristic_scan_finds_nothing_above_the_proven_bounds(monkeypatch):
+    """Every table equals the one scanned to the old D (i + 1) + 1."""
+    rng = random.Random(20261018)
+    cases = [_random_presentation(rng) for _ in range(240)]
+    proven = [resolve(pres, max_hom).to_json() for pres, max_hom in cases]
+
+    def heuristic(pres, i):
+        d = max(pres.ideal.max_degree(), pres.module_ideal.max_degree(), 1)
+        return d * (i + 1) + 1, "heuristic"
+
+    monkeypatch.setattr(oracle, "_cutoff", heuristic)
+    assert [resolve(pres, max_hom).to_json() for pres, max_hom in cases] == proven
 
 
 class TestPoincareTruncation:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberprod import cli, oracle
+from fiberprod.errors import InternalInconsistency
 from fiberprod.oracle import MonomialIdeal, QuotientPresentation, kbasis, resolve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +104,27 @@ def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
                                 "module": ["x", "y"], "max_hom": 2}))
     assert cli.run(["resolve", "--scenario", str(path)]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_euler_certificate_exits_3_on_a_wrong_bound(monkeypatch, tmp_path, capsys):
+    # k over k[x]/(x^3) has t_2 = 3; a "proven" bound of i stops the scan
+    # below it, and the Euler characteristic in degree 3 exposes the gap
+    monkeypatch.setattr(oracle, "_cutoff", lambda pres, i: (i, "backelin"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"vars": ["x"], "ideal": ["x^3"], "module": ["x"],
+                                "max_hom": 3}))
+    assert cli.run(["resolve", "--scenario", str(path)]) == 3
+    assert "Euler characteristic" in capsys.readouterr().err
+
+
+def test_froberg_certificate_rejects_a_table_that_passes_euler():
+    # k over k[x]/(x^2): adding beta_{1,2} = 1 and a second beta_{2,2} keeps
+    # every Euler characteristic but breaks the totals 1, 1, 1, 1
+    pres = QuotientPresentation.residue_field(MonomialIdeal.of(1, [(2,)]))
+    entries = {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 2): 2, (3, 3): 1}
+    table = oracle.GradedBettiTable(entries, 3, [True] * 4, ["generators"] * 4)
+    with pytest.raises(InternalInconsistency, match="1/H_A"):
+        oracle._certify(pres, table, [kbasis(pres.ideal, d) for d in range(4)])
 
 
 @settings(deadline=None, max_examples=60)
