@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,7 +140,9 @@ def run_verify(
 
     I = oracle.ideal_from_json(payload["I"], variables)
     J = oracle.ideal_from_json(payload["J"], variables)
-    module = oracle.ideal_from_json(payload["module"], variables)
+    K = oracle.ideal_from_json(payload["module"], variables)
+    # the R-module M = R/KR = P/(I + K)
+    M = MonomialIdeal(I.num_vars, I.generators | K.generators)
     intersection, total = oracle.fiber_presentation(I, J)
 
     def truncation(base: MonomialIdeal, extra: MonomialIdeal) -> TruncatedSeries:
@@ -147,12 +150,13 @@ def run_verify(
         pres = QuotientPresentation(base.num_vars, p, base, module_ideal)
         return oracle.poincare_truncation(pres, order, max_internal)
 
-    p_M_over_R = truncation(I, module)
+    p_M_over_R = truncation(I, M)
     p_T_over_R = truncation(I, total)
     p_T_over_S = truncation(J, total)
 
     formula = fiber.fiber_series(PoincareInputs(p_M_over_R, p_T_over_R, p_T_over_S), order)
-    oracle_series = truncation(intersection, module)
+    # M is a module over the product P/(I cap J), since I cap J lies in I + K
+    oracle_series = truncation(intersection, M)
 
     relation, first = series.relation(formula, oracle_series)
     notes = tuple(payload.get("notes", [])) + (
@@ -175,9 +179,14 @@ def run_verify(
 def _emit(args, kind: str, result: dict, human: str) -> None:
     if args.json:
         doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "result": result}
-        print(json.dumps(doc, indent=2))
-    else:
+        human = json.dumps(doc, indent=2)
+    try:
         print(human)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`) and wants no more; send the rest
+        # to the null device so that the run still ends with its own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_series(args) -> int:

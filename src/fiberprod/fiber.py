@@ -15,7 +15,7 @@ forms) lives here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from . import series as se
 from .errors import (
@@ -101,18 +101,6 @@ class BettiSequence:
         return cls(tuple(int(v) for v in data))
 
 
-def syzygy_shift(p: TruncatedSeries) -> Tuple[int, TruncatedSeries]:
-    """Split off the minimal generator count: p = mu + t * (series of the
-    first syzygy)."""
-    if not p.is_nonnegative():
-        raise ValidationError("syzygy_shift expects nonnegative coefficients")
-    if p[0] < 1:
-        raise ZeroModule(f"constant term {p[0]} describes the zero module")
-    if p.order == 0:
-        raise OrderMismatch("need order >= 1 to extract the syzygy series")
-    return p[0], TruncatedSeries(p.coeffs[1:])
-
-
 def large_compose(p_M_over_S: TruncatedSeries, p_S_over_A: TruncatedSeries) -> TruncatedSeries:
     """Series of M over A through a large surjection A -> S: the product of
     the series of M over S and of S over A."""
@@ -124,19 +112,6 @@ def large_compose(p_M_over_S: TruncatedSeries, p_S_over_A: TruncatedSeries) -> T
 def _denominator(r: TruncatedSeries, s: TruncatedSeries) -> TruncatedSeries:
     """r + s - r * s, unchecked."""
     return se.sub(se.add(r, s), se.mul(r, s))
-
-
-def fiber_denominator(
-    p_T_over_R: TruncatedSeries, p_T_over_S: TruncatedSeries
-) -> TruncatedSeries:
-    """p_T_over_R + p_T_over_S - p_T_over_R * p_T_over_S.
-
-    Coefficient 0 is 1, coefficient 1 is 0 and every higher coefficient is
-    <= 0 for valid inputs.
-    """
-    _check_quotient_series(p_T_over_R, "p_T_over_R")
-    _check_quotient_series(p_T_over_S, "p_T_over_S")
-    return _denominator(p_T_over_R, p_T_over_S)
 
 
 def fiber_series(inputs: PoincareInputs, order: int) -> TruncatedSeries:

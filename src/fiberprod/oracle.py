@@ -205,7 +205,7 @@ class QuotientPresentation:
 @dataclass
 class GradedBettiTable:
     """beta_{i,j} entries plus, per homological degree, a completeness flag
-    and the rule that bounded its scan (see ``_cutoff``)."""
+    and the rule that bounded its scan (see ``_cutoffs``)."""
 
     entries: Dict[Tuple[int, int], int]
     max_hom: int
@@ -304,43 +304,66 @@ def _is_residue_field(pres: QuotientPresentation) -> bool:
     return len(J.generators) == pres.num_vars and J.max_degree() == 1
 
 
-def _cutoff(pres: QuotientPresentation, i: int) -> Tuple[int, str]:
-    """A degree bound on t_i, the largest internal degree of a generator of
-    F_i, and the rule that gives it; the first rule that applies wins.
+def _taylor(ideal: MonomialIdeal) -> List[int]:
+    """Degree bounds on t_j^P(P/L), L = ``ideal``, for 0 <= j <= min(n, #gens):
+    the Taylor resolution of P/L is free, its j-th module sits in the lcm
+    degrees of j generators, and the minimal resolution is a summand of it,
+    so t_j <= min(j m, deg lcm(L)), m the largest generator degree.  It has
+    length #gens, and Hilbert's syzygy theorem caps pd_P at n."""
+    m = ideal.max_degree()
+    top = sum(map(max, zip(*ideal.generators))) if ideal.generators else 0
+    length = min(ideal.num_vars, len(ideal.generators))
+    return [0] + [min(j * m, top) for j in range(1, length + 1)]
 
-    - ``generators``: F_1 = J/I is written down exactly, so t_1 is the largest
-      degree of a minimal generator of J outside I.
-    - ``backelin``: for the residue field over A = P/I with I monomial and
-      generated in degree <= m, rate(A) <= m - 1 (J. Backelin, On the rates
-      of growth of the homologies of Veronese subrings, LNM 1183, 1986), so
+
+def _cutoffs(pres: QuotientPresentation, max_hom: int) -> List[Tuple[int, str]]:
+    """Per hom degree i <= max_hom, a proven bound on t_i, the largest internal
+    degree of a generator of F_i, and the rule that gives it; -1 when F_i = 0.
+
+    - ``generators`` (i <= 1): F_0 = A and F_1 = J/I are written down, so t_1
+      is the largest degree of a minimal generator of J outside I.
+    - ``eagon`` (always): the Eagon resolution of M = P/J over A = P/I has
+      i-th module the sum of Tor^P_{j_0}(M) (x) Tor^P_{j_1}(A) (x) ... over
+      j_0 + sum (j_k + 1) = i, j_k >= 1, and the minimal resolution is a
+      summand of it (Serre's inequality; Gulliksen-Levin, Homology of local
+      rings, 1969; Avramov, Infinite free resolutions, 1998), so t_i is at
+      most the largest sum of the Taylor bounds on those factors.  With I = 0
+      this is the Taylor bound, and -1 past pd_P(M).
+    - ``backelin`` (J the maximal ideal): a monomial I generated in degree
+      <= m gives rate(A) <= m - 1 (J. Backelin, On the rates of growth of the
+      homologies of Veronese subrings, LNM 1183, 1986), so
       t_i <= max(i, 1 + (m - 1)(i - 1)).
-    - ``taylor``: over P itself (I = 0) the Taylor resolution of P/J is a
-      free resolution whose i-th module sits in the lcm degrees of i
-      generators of J, and the minimal resolution is a summand of it, so
-      t_i <= min(i m_J, deg lcm(J)).
-    - ``koszul``: a quotient by monomials of degree <= 2 is Koszul (Froberg,
+    - ``koszul`` (I generated in degree <= 2): A is Koszul (Froberg,
       Determination of a class of Poincare series, 1975), so
-      reg_A(A/J) <= reg_P(P/J) (Avramov-Eisenbud, Regularity of modules over
-      a Koszul algebra, 1992) and t_i <= i + reg_P(P/J); Taylor bounds
-      reg_P(P/J) over 1 <= j <= pd_P(P/J) <= min(n, #gens J).
-    - ``heuristic``: D (i + 1) + 1, D the largest generator degree; unproven.
+      reg_A(M) <= reg_P(M) (Avramov-Eisenbud, Regularity of modules over a
+      Koszul algebra, 1992) and t_i <= i + max_j (tM_j - j), tM the Taylor
+      bounds on M over P.
+
+    From i = 2 on the smallest bound that applies wins; a tie goes to the
+    first of eagon, backelin, koszul, so a special rule is named only where
+    it is strictly tighter than the general one.
     """
     I, J = pres.ideal, pres.module_ideal
-    if i == 1:
-        return max((sum(g) for g in J.generators if not I.contains_monomial(g)),
-                   default=0), "generators"
-    if _is_residue_field(pres):
-        return max(i, 1 + (I.max_degree() - 1) * (i - 1)), "backelin"
-    m_J = J.max_degree()
-    lcm_J = sum(map(max, zip(*J.generators))) if J.generators else 0
-    if I.is_zero():
-        return min(i * m_J, lcm_J), "taylor"
-    if I.max_degree() <= 2:
-        reg = max((min(j * m_J, lcm_J) - j
-                   for j in range(1, min(pres.num_vars, len(J.generators)) + 1)),
-                  default=0)
-        return i + reg, "koszul"
-    return max(I.max_degree(), m_J, 1) * (i + 1) + 1, "heuristic"
+    tM, tA = _taylor(J), _taylor(I)
+    # tails[i]: bound on the degree of Tor^P_{j_1}(A) (x) ... in hom degree
+    # i = sum (j_k + 1), -1 where no such product exists
+    tails = [0]
+    for i in range(1, max_hom + 1):
+        tails.append(max((tA[j] + tails[i - j - 1] for j in range(1, min(len(tA), i))
+                          if tails[i - j - 1] >= 0), default=-1))
+    reg = max(t - j for j, t in enumerate(tM))
+    out = [(0, "generators"),
+           (max((sum(g) for g in J.generators if not I.contains_monomial(g)), default=0),
+            "generators")]
+    for i in range(2, max_hom + 1):
+        rules = [(max((tM[j] + tails[i - j] for j in range(min(len(tM), i + 1))
+                       if tails[i - j] >= 0), default=-1), "eagon")]
+        if _is_residue_field(pres):
+            rules.append((max(i, 1 + (I.max_degree() - 1) * (i - 1)), "backelin"))
+        if I.max_degree() <= 2:
+            rules.append((i + reg, "koszul"))
+        out.append(min(rules, key=lambda rule: rule[0]))
+    return out[: max_hom + 1]
 
 
 def resolve(
@@ -353,8 +376,9 @@ def resolve(
     Every map is Z^n-graded, so the kernel at total degree d is computed one
     multidegree block beta (|beta| = d) at a time: columns (beta - alpha_j, j)
     of the current module, rows (beta - alpha_k, k) of the previous one, both
-    with a standard monomial.  Step i is scanned up to ``_cutoff(pres, i)``;
-    with a proven bound the step is complete once the scan reaches it.
+    with a standard monomial.  Step i is scanned up to its bound from
+    ``_cutoffs``; every bound is proven, so the step is complete once the scan
+    reaches it.
     Homological degrees whose scan was cut short by ``max_internal`` are
     flagged incomplete in the returned table; no exception is raised here.
     Before returning, the table is checked against the Hilbert function of
@@ -363,9 +387,10 @@ def resolve(
     """
     if max_hom < 0:
         raise ValidationError("max_hom must be nonnegative")
+    cutoffs = _cutoffs(pres, max_hom)
     if max_internal is None:
-        # every rule's bound grows with i, so the top one covers every step
-        max_internal = max(max_hom, _cutoff(pres, max_hom)[0])
+        # the bounds need not grow with i, so the largest covers every step
+        max_internal = max(max_hom, *(bound for bound, _ in cutoffs))
     if max_internal < max_hom:
         raise ValidationError("max_internal must be at least max_hom")
     p = pres.char
@@ -393,27 +418,24 @@ def resolve(
 
     entries: Dict[Tuple[int, int], int] = {(0, 0): 1}
     complete = [True]
-    reasons = ["generators"]
     zero = (0,) * n
     # F_1 = J/I needs no scan: its generators are the minimal generators of J
     # outside I, each mapping onto the generator of F_0 = A; graded-lex order
     # fixes the column order of every later step.
     first: List[Monomial] = []
     if max_hom:
-        bound, reason = _cutoff(pres, 1)
         first = [
             g for g in pres.module_ideal.sorted_generators()
             if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
         ]
         for g in first:
             entries[(1, sum(g))] = entries.get((1, sum(g)), 0) + 1
-        complete.append(max_internal >= bound)
-        reasons.append(reason)
+        complete.append(max_internal >= cutoffs[1][0])
     prev, current = _FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])
 
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
-        bound, reason = _cutoff(pres, i + 1)
+        bound = cutoffs[i + 1][0]
         cutoff = min(max_internal, bound)
         # an empty F_i has no kernel in any degree, so no budget can hide a
         # generator of F_{i+1}: the step is then exactly as complete as F_i
@@ -459,15 +481,10 @@ def resolve(
                         fresh += 1
             if fresh:
                 entries[(i + 1, d)] = fresh
-        # a proven bound leaves no generator above the scan; the heuristic
-        # asks that no kernel vector at the last degree scanned was new
-        degree_complete = (reason != "heuristic" or not degrees
-                           or (i + 1, degrees[-1]) not in entries)
-        complete.append(degree_complete and not budget_hit and complete[i])
-        reasons.append(reason)
+        complete.append(not budget_hit and complete[i])
         prev, current = current, new
 
-    table = GradedBettiTable(entries, max_hom, complete, reasons)
+    table = GradedBettiTable(entries, max_hom, complete, [r for _, r in cutoffs])
     _certify(pres, table, [standard_of(d)[0] for d in range(max_hom + 1)])
     return table
 

@@ -95,10 +95,6 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(inv))
 
 
-def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return mul(a, invert(b))
-
-
 def relation(a: TruncatedSeries, b: TruncatedSeries) -> Tuple[str, Optional[int]]:
     """Coefficientwise relation of a (formula) against b (oracle) up to the
     shorter order, with the first index where they differ."""

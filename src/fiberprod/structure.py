@@ -184,19 +184,6 @@ def depth_rule(data: FiberData) -> DepthResult:
     )
 
 
-def depth_amalgamated(
-    grade_mR: int, grade_mRmodI: int, dim_RmodI: int, gamma_in_I: bool
-) -> DepthResult:
-    """Depth of the duplication of R along I, from the two certified cases."""
-    if min(grade_mR, grade_mRmodI, dim_RmodI) < 0:
-        raise ValidationError("grades and dimensions must be nonnegative")
-    if grade_mR > grade_mRmodI:
-        return DepthResult(DepthKind.EXACT, grade_mRmodI + 1, "Cor-amalg(i)")
-    if dim_RmodI == 0 and gamma_in_I:
-        return DepthResult(DepthKind.EXACT, min(grade_mR, 1), "Cor-amalg(ii)")
-    return DepthResult(DepthKind.UNKNOWN, None, "none")
-
-
 @dataclass(frozen=True)
 class Predicate:
     """Tri-state structural verdict plus the rule and its logical direction."""

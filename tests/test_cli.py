@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,8 @@ def corpus_path(tmp_path, sid):
 def test_examples_lists_corpus(capsys):
     assert cli.run(["examples"]) == 0
     out = capsys.readouterr().out
-    for sid in ("ex-paper-4x", "lescot-xy", "amalg-dup-x", "ci-xy-z2"):
+    for sid in ("ex-paper-4x", "lescot-xy", "amalg-dup-x", "ci-xy-z2",
+                "lescot-mod-y", "paper-4x-mod-x"):
         assert sid in out
 
 
@@ -47,6 +52,25 @@ def test_false_largeness_is_an_internal_inconsistency(tmp_path):
     doc = cli.load_corpus_scenario("ex-paper-4x")
     doc["payload"]["is_large"] = True
     assert cli.run(["verify", "--scenario", write_scenario(tmp_path, doc)]) == 3
+
+
+def test_verify_resolves_M_over_the_product_for_any_K(tmp_path, capsys):
+    # M = R/KR = P/(I + K); over the product P/(I cap J) that is P/(x, y) = k
+    # here, not P/(xy, y), whose series 1 1 1 ... broke the large equality
+    payload = {"vars": ["x", "y"], "I": ["x"], "J": ["y"], "module": ["y"],
+               "is_large": True, "order": 4}
+    code = cli.run(["verify", "--scenario", write_scenario(tmp_path, payload), "--json"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["relation"] == "equal"
+    assert result["oracle_series"] == ["1", "2", "2", "2", "2"]
+    # M = P/(x, y^2) over P/(xy^2): the bound holds and is not attained
+    payload = {"vars": ["x", "y"], "I": ["y^2"], "J": ["x^2", "x*y"], "module": ["x"],
+               "order": 4}
+    report = cli.run_verify(payload)
+    assert report.formula_series.coeffs == (1, 2, 4, 11, 29)
+    assert report.oracle_series.coeffs == (1, 2, 2, 2, 2)
+    assert report.relation == "formula-dominates"
 
 
 def test_depth_scenario(tmp_path, capsys):
@@ -194,6 +218,26 @@ def test_betti_and_verify_evaluate_one_bound_on_the_corpus():
         bound = fiber.betti_bound(betti(I, module), betti(I, total), betti(J, total),
                                   payload["order"])
         assert bound.values == cli.run_verify(payload).formula_series.coeffs, sid
+
+
+def test_closed_stdout_ends_quietly_with_the_run_exit_code(tmp_path):
+    # the reader closes the pipe (`| head`) before the report is written: no
+    # traceback, nothing more on stderr, and the exit code the run would have
+    resolve = tmp_path / "resolve.json"
+    resolve.write_text(json.dumps({"vars": ["x", "y"], "ideal": ["x*y^2"],
+                                   "module": ["x", "y"], "max_hom": 6}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, code, err in (
+        (["verify", "--scenario", corpus_path(tmp_path, "lescot-xy"), "--order", "40",
+          "--json"], 0, ""),
+        (["resolve", "--scenario", str(resolve), "--max-internal", "6"], 2,
+         "warning: table incomplete within the internal-degree budget\n"),
+    ):
+        proc = subprocess.Popen([sys.executable, "-m", "fiberprod.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (code, err), argv
+        proc.stderr.close()
 
 
 def test_exit_codes_are_distinct():

@@ -7,7 +7,6 @@ from fiberprod.errors import (
     InvalidDenominator,
     OrderMismatch,
     TrivialFiberProduct,
-    ZeroModule,
 )
 from fiberprod.fiber import BettiSequence, PoincareInputs
 from fiberprod.series import TruncatedSeries
@@ -15,20 +14,6 @@ from fiberprod.series import TruncatedSeries
 
 def S(*coeffs):
     return TruncatedSeries(tuple(coeffs))
-
-
-class TestSyzygyShift:
-    def test_definitional(self):
-        mu, omega = fiber.syzygy_shift(S(1, 2, 2, 2))
-        assert mu == 1 and omega == S(2, 2, 2)
-
-    def test_free_module(self):
-        mu, omega = fiber.syzygy_shift(S(3, 0, 0))
-        assert mu == 3 and omega == S(0, 0)
-
-    def test_zero_module(self):
-        with pytest.raises(ZeroModule):
-            fiber.syzygy_shift(S(0, 1))
 
 
 class TestLargeCompose:
@@ -43,30 +28,6 @@ class TestLargeCompose:
         assert fiber.large_compose(S(1, 2, 2), S(1, 1, 1)) == se.mul(
             S(1, 2, 2), S(1, 1, 1)
         )
-
-
-def denominator_by_hand(p, q, order):
-    # independent convolution loop
-    out = []
-    for i in range(order + 1):
-        conv = sum(p[j] * q[i - j] for j in range(i + 1))
-        out.append(p[i] + q[i] - conv)
-    return tuple(out)
-
-
-class TestFiberDenominator:
-    def test_hand_convolution(self):
-        d = fiber.fiber_denominator(S(1, 1, 0), S(1, 1, 0))
-        assert d.coeffs == denominator_by_hand((1, 1, 0), (1, 1, 0), 2) == (1, 0, -1)
-
-    def test_independent_of_higher_coefficient(self):
-        for r2 in (0, 1, 5):
-            d = fiber.fiber_denominator(S(1, 2, r2), S(1, 1, 1))
-            assert d.coeffs[:3] == (1, 0, -2)
-
-    def test_nontriviality(self):
-        with pytest.raises(TrivialFiberProduct):
-            fiber.fiber_denominator(S(1, 0, 0), S(1, 1))
 
 
 class TestFiberSeries:
@@ -89,7 +50,7 @@ class TestFiberSeries:
         with pytest.raises(OrderMismatch, match="p_T_over_R has order 0"):
             PoincareInputs(S(1), S(1), S(1))
         with pytest.raises(OrderMismatch, match="p_T_over_S has order 0"):
-            fiber.fiber_denominator(S(1, 1), S(1))
+            PoincareInputs(S(1), S(1, 1), S(1))
 
     def test_order_beyond_inputs_is_an_error(self):
         p = S(1, 1, 0)
@@ -212,12 +173,10 @@ def test_fiber_series_matches_closed_forms(m, x, y):
         )
 
 
-@given(module_betti, quotient_betti, quotient_betti)
-def test_denominator_symmetric_under_swap(m, x, y):
+@given(quotient_betti, quotient_betti)
+def test_denominator_symmetric_under_swap(x, y):
     order = min(len(x), len(y)) - 1
-    assert fiber.fiber_denominator(series_of(x), series_of(y)) == fiber.fiber_denominator(
-        series_of(y), series_of(x)
-    )
+    assert fiber.betti_b(x, y, order) == fiber.betti_b(y, x, order)
 
 
 @given(quotient_betti)

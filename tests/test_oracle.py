@@ -149,49 +149,56 @@ class TestFirstSyzygy:
 
 
 class TestCutoff:
-    """Each rule of ``oracle._cutoff`` on a case it decides."""
+    """Each rule of ``oracle._cutoffs`` on a case it decides."""
 
     def test_generators_bound_hom_1_by_J_outside_I(self):
         # xy lies in I, so only y^2 counts
         pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x*y"], XY),
                                     ideal(["x*y", "y^2"], XY))
-        assert oracle._cutoff(pres, 1) == (2, "generators")
+        assert oracle._cutoffs(pres, 1) == [(0, "generators"), (2, "generators")]
 
     def test_backelin_bound_is_reached_exactly(self):
-        # k over k[x]/(x^3): t_2 = 3 = max(2, 1 + 2 * 1), a generator at the
-        # bound itself; scanning through the bound proves the step complete
-        pres = QuotientPresentation.residue_field(ideal(["x^3"], ["x"]))
-        assert oracle._cutoff(pres, 2) == (3, "backelin")
-        table = resolve(pres, 2, max_internal=3)
-        assert table.entries == {(0, 0): 1, (1, 1): 1, (2, 3): 1}
-        assert table.complete == [True, True, True]
-        assert table.reasons == ["generators", "generators", "backelin"]
-        assert resolve(pres, 2, max_internal=2).complete == [True, True, False]
+        # k over k[x,y]/(x^2, y^2): t_3 = 3 = max(3, 1 + 1 * 2), a generator at
+        # the bound itself, where eagon gives 2 + 2 = 4; at hom 2 both give 2
+        # and the tie goes to eagon.  Scanning through the bound proves the
+        # step complete.
+        pres = QuotientPresentation.residue_field(ideal(["x^2", "y^2"], XY))
+        assert oracle._cutoffs(pres, 3)[2:] == [(2, "eagon"), (3, "backelin")]
+        table = resolve(pres, 3, max_internal=3)
+        assert table.entries[(3, 3)] == 4
+        assert table.complete == [True] * 4
+        assert table.reasons == ["generators", "generators", "eagon", "backelin"]
 
-    def test_taylor_bound_over_the_polynomial_ring(self):
-        # P/(x^2, xy, y^3): lcm x^2 y^3 caps t_2 at 5; the true t_2 is 4
+    def test_eagon_ends_the_scan_past_the_projective_dimension(self):
+        # P/(x^2, xy, y^3) over P itself: the Taylor bounds 3 and 5 = deg x^2 y^3
+        # at hom 1 and 2, and no term at hom 3 > n, so F_3 = 0 unscanned
         pres = QuotientPresentation(2, DEFAULT_CHAR, MonomialIdeal.zero(2),
                                     ideal(["x^2", "x*y", "y^3"], XY))
-        assert oracle._cutoff(pres, 2) == (5, "taylor")
+        assert oracle._cutoffs(pres, 3)[2:] == [(5, "eagon"), (-1, "eagon")]
         table = resolve(pres, 3)
         assert table.entries == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 4): 1}
         assert all(table.complete)
 
     def test_koszul_bound_from_the_ambient_regularity(self):
-        # A = k[x,y]/(xy), M = A/(x^2, y): reg_P(P/(x^2, y)) <= 1 by Taylor
-        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x*y"], XY),
-                                    ideal(["x^2", "y"], XY))
-        assert [oracle._cutoff(pres, i) for i in (2, 3)] == [(3, "koszul"), (4, "koszul")]
+        # A = k[x,y]/(x^2, y^2), M = A/(x, y^2): reg_P(P/(x, y^2)) <= 1 by
+        # Taylor gives t_4 <= 5, where eagon gives 2 + (2 + 2) = 6
+        pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x^2", "y^2"], XY),
+                                    ideal(["x", "y^2"], XY))
+        assert oracle._cutoffs(pres, 4)[4] == (5, "koszul")
         table = resolve(pres, 4)
         assert all(table.complete)
         assert all(j <= i + 1 for (i, j) in table.entries)
 
-    def test_heuristic_otherwise(self):
-        # a cubic relation and a module that is not k: no proven bound
+    def test_eagon_bounds_a_cubic_ring_over_a_module_other_than_k(self):
+        # A = k[x,y]/(x^3), M = A/(x^2, y): no special rule applies; Taylor
+        # gives tM = 0, 2, 3 and tA_1 = 3, so t_2 <= max(0 + 3, 3 + 0) = 3 and
+        # t_3 <= 2 + 3 = 5, both reached
         pres = QuotientPresentation(2, DEFAULT_CHAR, ideal(["x^3"], XY),
                                     ideal(["x^2", "y"], XY))
-        assert oracle._cutoff(pres, 2) == (10, "heuristic")
-        assert resolve(pres, 3).reasons[2:] == ["heuristic", "heuristic"]
+        assert oracle._cutoffs(pres, 3)[2:] == [(3, "eagon"), (5, "eagon")]
+        table = resolve(pres, 3)
+        assert table.entries == {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 2, (3, 4): 1, (3, 5): 1}
+        assert all(table.complete)
 
 
 def _random_presentation(rng):
@@ -203,32 +210,42 @@ def _random_presentation(rng):
             if sum(m):
                 return m
 
-    rule = rng.choice(["backelin", "taylor", "koszul", "heuristic"])
-    if rule == "taylor":
+    rule = rng.choice(["backelin", "polynomial", "koszul", "eagon"])
+    if rule == "polynomial":
         I = MonomialIdeal.zero(n)
     else:
         gens = [monomial(2) for _ in range(rng.randint(1, 3))]
         if rule == "koszul":
             gens = [g for g in gens if sum(g) <= 2] or [(1,) * min(n, 2) + (0,) * (n - 2)]
+        if rule == "eagon":
+            gens = [g for g in gens if sum(g) >= 3] or [(3,) + (0,) * (n - 1)]
         I = MonomialIdeal.of(n, gens)
     if rule == "backelin":
-        return QuotientPresentation.residue_field(I), rng.randint(1, 4)
-    J = MonomialIdeal(n, I.generators | {monomial(2) for _ in range(rng.randint(1, 2))})
-    return QuotientPresentation(n, DEFAULT_CHAR, I, J), rng.randint(1, 4)
+        return QuotientPresentation.residue_field(I), rng.randint(1, 4), rule
+    extra = {monomial(2) for _ in range(rng.randint(1, 2))}
+    if rule == "eagon":
+        # with a cubic relation and a module other than k, eagon alone applies
+        extra = {m for m in extra if sum(m) >= 2} or {(0,) * (n - 1) + (2,)}
+    J = MonomialIdeal(n, I.generators | extra)
+    return QuotientPresentation(n, DEFAULT_CHAR, I, J), rng.randint(1, 4), rule
 
 
 def test_wider_heuristic_scan_finds_nothing_above_the_proven_bounds(monkeypatch):
-    """Every table equals the one scanned to the old D (i + 1) + 1."""
+    """Every table equals the one scanned to D (i + 1) + 1, D the largest
+    generator degree, a bound wider than every proven one."""
     rng = random.Random(20261018)
     cases = [_random_presentation(rng) for _ in range(240)]
-    proven = [resolve(pres, max_hom).to_json() for pres, max_hom in cases]
+    proven = [resolve(pres, max_hom) for pres, max_hom, _ in cases]
+    assert {r for table, (_, _, rule) in zip(proven, cases) if rule == "eagon"
+            for r in table.reasons[2:]} == {"eagon"}
 
-    def heuristic(pres, i):
+    def wide(pres, max_hom):
         d = max(pres.ideal.max_degree(), pres.module_ideal.max_degree(), 1)
-        return d * (i + 1) + 1, "heuristic"
+        return [(d * (i + 1) + 1, "wide") for i in range(max_hom + 1)]
 
-    monkeypatch.setattr(oracle, "_cutoff", heuristic)
-    assert [resolve(pres, max_hom).to_json() for pres, max_hom in cases] == proven
+    monkeypatch.setattr(oracle, "_cutoffs", wide)
+    assert ([resolve(pres, max_hom).to_json() for pres, max_hom, _ in cases]
+            == [table.to_json() for table in proven])
 
 
 class TestPoincareTruncation:

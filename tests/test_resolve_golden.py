@@ -109,7 +109,8 @@ def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
 def test_euler_certificate_exits_3_on_a_wrong_bound(monkeypatch, tmp_path, capsys):
     # k over k[x]/(x^3) has t_2 = 3; a "proven" bound of i stops the scan
     # below it, and the Euler characteristic in degree 3 exposes the gap
-    monkeypatch.setattr(oracle, "_cutoff", lambda pres, i: (i, "backelin"))
+    monkeypatch.setattr(oracle, "_cutoffs",
+                        lambda pres, max_hom: [(i, "backelin") for i in range(max_hom + 1)])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"vars": ["x"], "ideal": ["x^3"], "module": ["x"],
                                 "max_hom": 3}))

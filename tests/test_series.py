@@ -52,20 +52,6 @@ class TestInvert:
             se.invert(S(2, 1))
 
 
-class TestDivide:
-    def test_remultiplication(self):
-        q = se.divide(S(1, 2, 1, 0), S(1, 0, -1, 0))
-        assert q == S(1, 2, 2, 2)
-        assert se.mul(q, S(1, 0, -1, 0)) == S(1, 2, 1, 0)
-
-    def test_identity_divisor(self):
-        a = S(5, -3, 7)
-        assert se.divide(a, S(1, 0, 0)) == a
-
-    def test_self_division(self):
-        assert se.divide(S(1, 1), S(1, 1)) == S(1, 0)
-
-
 class TestRelation:
     def test_four_outcomes(self):
         assert se.relation(S(1, 2, 2), S(1, 2, 2)) == ("equal", None)

@@ -10,7 +10,6 @@ from fiberprod.structure import (
     RingInvariants,
     beh_check,
     classify,
-    depth_amalgamated,
     depth_rule,
     dim_fiber,
     tate_hypersurface_check,
@@ -100,20 +99,6 @@ class TestDepthRule:
         out = depth_rule(data)
         assert out.kind is DepthKind.EXACT and out.value == 0
         assert out.rule == "Cor-Lescot-general"
-
-
-class TestDepthAmalgamated:
-    def test_duplicated_line(self):
-        out = depth_amalgamated(1, 0, 0, True)
-        assert out.kind is DepthKind.EXACT and out.value == 1
-
-    def test_grade_gap(self):
-        out = depth_amalgamated(2, 1, 1, False)
-        assert out.kind is DepthKind.EXACT and out.value == 2
-
-    def test_no_rule(self):
-        out = depth_amalgamated(0, 0, 1, False)
-        assert out.kind is DepthKind.UNKNOWN and out.value is None
 
 
 class TestClassify:
