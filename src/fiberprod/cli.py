@@ -102,6 +102,21 @@ def load_corpus_scenario(scenario_id: str) -> dict:
     return json.loads(text)
 
 
+def _integers(payload: dict, field: str) -> tuple:
+    """The integers of a field of decimal strings.  A string with more digits
+    than the interpreter converts (`sys.get_int_max_str_digits`) is a
+    validation error naming it; the schema has admitted only digits."""
+    values = []
+    for i, text in enumerate(payload[field]):
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ValidationError(
+                f"scenario field {field}/{i}: more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+    return tuple(values)
+
+
 # --- verify harness ---------------------------------------------------------
 
 
@@ -193,25 +208,23 @@ def _cmd_series(args) -> int:
     payload = load_scenario(args.scenario, "series")
     order = args.order if args.order is not None else int(payload.get("order", DEFAULT_ORDER))
     f = RationalFunction(
-        Polynomial.from_json(payload["num"]), Polynomial.from_json(payload["den"])
+        Polynomial(_integers(payload, "num")), Polynomial(_integers(payload, "den"))
     )
-    out = series.expand(f, order)
-    _emit(args, "series", {"series": out.to_json()},
-          "coefficients: " + " ".join(str(c) for c in out.coeffs))
+    coeffs = series.expand(f, order).to_json()
+    _emit(args, "series", {"series": coeffs}, "coefficients: " + " ".join(coeffs))
     return EXIT_OK
 
 
 def _cmd_betti(args) -> int:
     payload = load_scenario(args.scenario, "betti")
     bound = fiber.betti_bound(
-        BettiSequence.from_json(payload["beta_M_over_R"]),
-        BettiSequence.from_json(payload["beta_T_over_R"]),
-        BettiSequence.from_json(payload["beta_T_over_S"]),
+        *(BettiSequence(_integers(payload, field))
+          for field in ("beta_M_over_R", "beta_T_over_R", "beta_T_over_S")),
         int(payload["n"]),
-    )
+    ).to_json()
     label = "exact" if payload.get("is_large") else "lower bound"
-    _emit(args, "betti", {"bound": bound.to_json(), "label": label},
-          f"betti {label}: " + " ".join(str(v) for v in bound.values))
+    _emit(args, "betti", {"bound": bound, "label": label},
+          f"betti {label}: " + " ".join(bound))
     return EXIT_OK
 
 
@@ -263,8 +276,8 @@ def _cmd_verify(args) -> int:
     )
     human = "\n".join(
         [
-            "formula: " + " ".join(str(c) for c in report.formula_series.coeffs),
-            "oracle:  " + " ".join(str(c) for c in report.oracle_series.coeffs),
+            "formula: " + " ".join(report.formula_series.to_json()),
+            "oracle:  " + " ".join(report.oracle_series.to_json()),
             f"relation: {report.relation}"
             + (f" (first divergence at {report.first_divergence})"
                if report.first_divergence is not None else ""),

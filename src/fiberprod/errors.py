@@ -38,7 +38,8 @@ class IndexOutOfRange(ValidationError):
 
 
 class BudgetExceeded(FiberprodError):
-    """A resolution hit its internal-degree budget before completing.
+    """A resolution hit its internal-degree budget before completing, or a
+    result has an integer with more digits than the interpreter prints.
 
     CLI exit code 2.  ``partial`` carries whatever result was computed.
     """

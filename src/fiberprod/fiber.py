@@ -15,7 +15,6 @@ forms) lives here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import series as se
 from .errors import (
@@ -77,7 +76,7 @@ class BettiSequence:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         if not values:
             raise InvalidBetti("a Betti sequence needs at least beta_0")
         if any(v < 0 for v in values):
@@ -94,11 +93,7 @@ class BettiSequence:
         return TruncatedSeries(self.values)
 
     def to_json(self) -> list:
-        return [str(v) for v in self.values]
-
-    @classmethod
-    def from_json(cls, data: Sequence) -> "BettiSequence":
-        return cls(tuple(int(v) for v in data))
+        return se.decimal_strings(self.values)
 
 
 def large_compose(p_M_over_S: TruncatedSeries, p_S_over_A: TruncatedSeries) -> TruncatedSeries:
@@ -125,7 +120,7 @@ def fiber_series(inputs: PoincareInputs, order: int) -> TruncatedSeries:
         raise OrderMismatch(f"order {order} exceeds the supported input order {supported}")
     num = se.mul(inputs.p_M_over_R, inputs.p_T_over_S)
     den = _denominator(inputs.p_T_over_R, inputs.p_T_over_S)
-    return se.mul(num, se.invert(den)).truncate(order)
+    return se.divide(num, den).truncate(order)
 
 
 def amalgamated_series(
@@ -143,7 +138,7 @@ def amalgamated_series(
         raise OrderMismatch(f"order {order} exceeds the supported input order {n}")
     two = TruncatedSeries((2,) + (0,) * p_RmodI_over_R.order)
     den = se.sub(two, p_RmodI_over_R)
-    return se.mul(p_M_over_R, se.invert(den)).truncate(order)
+    return se.divide(p_M_over_R, den).truncate(order)
 
 
 def betti_b(
@@ -193,7 +188,7 @@ def betti_bound(
     b = betti_b(beta_T_over_R, beta_T_over_S, n)
     m = beta_M_over_R.as_series().truncate(n)
     a = se.mul(m, beta_T_over_S.as_series().truncate(n))
-    return BettiSequence(se.mul(a, se.invert(b)).coeffs)
+    return BettiSequence(se.divide(a, b).coeffs)
 
 
 def edim_bound(edim_R: int, beta1_T_over_S: int) -> int:

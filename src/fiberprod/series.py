@@ -4,16 +4,38 @@ All coefficients are Python ints (arbitrary precision).  A series is a finite
 prefix of a formal power series in one indeterminate t; binary operations
 truncate to the minimum order of their operands.  Everything here is immutable
 and every operation is a pure function.
+
+Every quotient is one `divide`, whose inner sums, like those of `mul`, run
+in C over a reversed operand (`sum(map(operator.mul, ...))`); a denominator
+of degree d costs O(n*d) coefficient products at order n, not O(n^2).
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import NotAUnit, OrderMismatch, ValidationError
+from .errors import BudgetExceeded, NotAUnit, OrderMismatch, ValidationError
 
 DEFAULT_ORDER = 16
+
+
+def decimal_strings(values: Sequence[int]) -> list:
+    """The decimal string of each value.  A value with more digits than the
+    interpreter converts (`sys.get_int_max_str_digits`) is a budget exit
+    naming its index."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(str(v))
+        except ValueError:
+            raise BudgetExceeded(
+                f"result coefficient {i} has more than "
+                f"{sys.get_int_max_str_digits()} decimal digits, too many to print"
+            ) from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -23,7 +45,7 @@ class TruncatedSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if not coeffs:
             raise ValidationError("a truncated series needs at least the t^0 coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -49,7 +71,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1])
 
     def to_json(self) -> list:
-        return [str(c) for c in self.coeffs]
+        return decimal_strings(self.coeffs)
 
     @classmethod
     def from_json(cls, data: Sequence) -> "TruncatedSeries":
@@ -72,27 +94,32 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b[j]
-    return TruncatedSeries(tuple(out))
+    x, rb = a.coeffs, b.coeffs[n::-1]
+    # c_m = sum_i a_i b_{m-i}: b_m .. b_0 is the suffix rb[n - m:], and map
+    # stops at the end of it
+    return TruncatedSeries(tuple(sum(map(operator.mul, x, rb[n - m:])) for m in range(n + 1)))
+
+
+def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a / b to the shorter order, for b with constant term 1 or -1, by
+    q_m = b_0 (a_m - sum_{i>=1} b_i q_{m-i})."""
+    b0 = b[0]
+    if b0 not in (1, -1):
+        raise NotAUnit(f"constant term {b0} is not invertible over the integers")
+    n = min(a.order, b.order)
+    tail = list(b.coeffs[1 : n + 1])
+    while tail and tail[-1] == 0:
+        tail.pop()
+    q = []
+    for am in a.coeffs[: n + 1]:
+        # b_1 q_{m-1} + b_2 q_{m-2} + ...; map stops at the shorter operand
+        s = sum(map(operator.mul, tail, reversed(q)))
+        q.append(am - s if b0 == 1 else s - am)
+    return TruncatedSeries(tuple(q))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
-    c0 = a[0]
-    if c0 not in (1, -1):
-        raise NotAUnit(f"constant term {c0} is not invertible over the integers")
-    n = a.order
-    inv = [0] * (n + 1)
-    inv[0] = c0
-    for m in range(1, n + 1):
-        s = sum(a[i] * inv[m - i] for i in range(1, m + 1))
-        inv[m] = -c0 * s
-    return TruncatedSeries(tuple(inv))
+    return divide(TruncatedSeries.one(a.order), a)
 
 
 def relation(a: TruncatedSeries, b: TruncatedSeries) -> Tuple[str, Optional[int]]:
@@ -139,7 +166,7 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def to_json(self) -> list:
-        return [str(c) for c in self.coeffs]
+        return decimal_strings(self.coeffs)
 
     @classmethod
     def from_json(cls, data: Sequence) -> "Polynomial":
@@ -176,6 +203,4 @@ class RationalFunction:
 def expand(f: RationalFunction, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValidationError("expansion order must be nonnegative")
-    num = f.numerator.as_series(order)
-    den = f.denominator.as_series(order)
-    return mul(num, invert(den))
+    return divide(f.numerator.as_series(order), f.denominator.as_series(order))

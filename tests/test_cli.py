@@ -317,3 +317,57 @@ def test_help_exits_0(capsys):
         cli.run(["verify", "--help"])
     assert exc.value.code == 0
     assert "--scenario" in capsys.readouterr().out
+
+
+# Python's limit on int <-> str conversion: absent from interpreters that
+# predate it (3.11, 3.10.7 and the other security releases), 0 when off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit")
+
+
+def _run_quietly(capsys, argv, code, prefix):
+    assert cli.run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+    return err
+
+
+@needs_digit_limit
+def test_series_input_past_the_digit_limit_is_a_validation_error(tmp_path, capsys):
+    payload = {"num": ["1", "1" * (DIGIT_LIMIT + 1)], "den": ["1"]}
+    err = _run_quietly(capsys, ["series", "--scenario", write_scenario(tmp_path, payload)],
+                       1, "validation error:")
+    assert "num/1" in err
+
+
+@needs_digit_limit
+def test_series_result_past_the_digit_limit_is_a_budget_exit(tmp_path, capsys):
+    # 1/(1 - 10t): the coefficient of t^limit is 10^limit, one digit too many
+    path = write_scenario(tmp_path, {"num": ["1"], "den": ["1", "-10"]})
+    for flag in ([], ["--json"]):
+        err = _run_quietly(capsys, ["series", "--scenario", path, "--order",
+                                    str(DIGIT_LIMIT + 1), *flag], 2, "budget exceeded:")
+        assert f"coefficient {DIGIT_LIMIT} " in err
+
+
+@needs_digit_limit
+def test_betti_input_past_the_digit_limit_is_a_validation_error(tmp_path, capsys):
+    payload = {"beta_M_over_R": ["1"], "beta_T_over_R": ["1", "2"],
+               "beta_T_over_S": ["1", "9" * (DIGIT_LIMIT + 1)], "n": 0}
+    err = _run_quietly(capsys, ["betti", "--scenario", write_scenario(tmp_path, payload)],
+                       1, "validation error:")
+    assert "beta_T_over_S/1" in err
+
+
+@needs_digit_limit
+def test_betti_result_past_the_digit_limit_is_a_budget_exit(tmp_path, capsys):
+    # D = 10^(limit - 1) prints; b = 1 - D t^2 and a = 1 + 2D t + D^2 t^2, so
+    # the bound's coefficient 2 is D^2 + D, with 2 limit - 1 digits
+    d = "1" + "0" * (DIGIT_LIMIT - 1)
+    payload = {"beta_M_over_R": ["1", d, "0"], "beta_T_over_R": ["1", "1", "0"],
+               "beta_T_over_S": ["1", d, "0"], "n": 2}
+    path = write_scenario(tmp_path, payload)
+    for flag in ([], ["--json"]):
+        err = _run_quietly(capsys, ["betti", "--scenario", path, *flag], 2, "budget exceeded:")
+        assert "coefficient 2 " in err

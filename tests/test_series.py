@@ -17,6 +17,21 @@ def brute_convolution(a, b, order):
     )
 
 
+def ref_mul(a, b):
+    """Schoolbook product to the shorter order."""
+    return brute_convolution(a, b, min(len(a), len(b)) - 1)
+
+
+def ref_invert(b):
+    """Schoolbook inverse of a series with constant term 1 or -1: solve
+    b * c = 1 one coefficient at a time."""
+    c = []
+    for m in range(len(b)):
+        rest = sum(b[i] * c[m - i] for i in range(1, m + 1))
+        c.append(((1 if m == 0 else 0) - rest) * b[0])
+    return tuple(c)
+
+
 class TestAdd:
     def test_componentwise(self):
         assert se.add(S(1, 1), S(1, 1)) == S(2, 2)
@@ -50,6 +65,29 @@ class TestInvert:
     def test_non_unit(self):
         with pytest.raises(NotAUnit):
             se.invert(S(2, 1))
+
+
+class TestDivide:
+    def test_long_division(self):
+        assert se.divide(S(1, 2, 1, 0, 0), S(1, 0, -1, 0, 0)) == S(1, 2, 2, 2, 2)
+
+    def test_negative_constant_term(self):
+        assert se.divide(S(1, 0, 0), S(-1, 1, 0)) == S(-1, -1, -1)
+
+    def test_truncates_to_the_shorter_order(self):
+        assert se.divide(S(1, 0, 0, 0), S(1, -1)) == S(1, 1)
+        assert se.divide(S(3), S(1, 5, 7)) == S(3)
+
+    def test_invert_is_one_over(self):
+        a = S(1, -3, 0, 2, 0, 0)
+        assert se.invert(a) == se.divide(TruncatedSeries.one(a.order), a)
+
+    @pytest.mark.parametrize("b0", [0, 2, -3])
+    def test_non_unit_constant_term(self, b0):
+        with pytest.raises(NotAUnit):
+            se.divide(S(1, 1), S(b0, 1))
+        with pytest.raises(NotAUnit):
+            se.invert(S(b0, 1))
 
 
 class TestRelation:
@@ -173,3 +211,35 @@ def test_expand_remultiplies_to_numerator(num, den_tail, order):
     f = RationalFunction(Polynomial(tuple(num)), Polynomial(tuple([1] + den_tail)))
     s = se.expand(f, order)
     assert se.mul(s, f.denominator.as_series(order)) == f.numerator.as_series(order)
+
+
+small = st.integers(-9, 9)
+# orders 0..12, unequal, with b_0 = +-1 and often a zero tail, so that the
+# trimmed denominator is shorter than the order
+numerators = st.lists(small, min_size=1, max_size=13).map(lambda c: TruncatedSeries(tuple(c)))
+denominators = st.tuples(
+    st.sampled_from((1, -1)), st.lists(small, max_size=6), st.integers(0, 8)
+).map(lambda t: TruncatedSeries((t[0],) + tuple(t[1]) + (0,) * t[2]))
+
+
+@given(numerators, denominators)
+def test_divide_matches_schoolbook(a, b):
+    assert se.divide(a, b).coeffs == ref_mul(a.coeffs, ref_invert(b.coeffs))
+
+
+@given(numerators, denominators)
+def test_divide_remultiplies_to_the_numerator(a, b):
+    n = min(a.order, b.order)
+    q = se.divide(a, b)
+    assert q.order == n
+    assert se.mul(q, b) == a.truncate(n)
+
+
+@given(numerators, numerators)
+def test_mul_matches_schoolbook(a, b):
+    assert se.mul(a, b).coeffs == ref_mul(a.coeffs, b.coeffs)
+
+
+@given(denominators)
+def test_invert_matches_schoolbook(b):
+    assert se.invert(b).coeffs == ref_invert(b.coeffs)
