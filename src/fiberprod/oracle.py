@@ -17,7 +17,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -247,20 +247,26 @@ class GradedBettiTable:
 Vector = Dict[int, int]
 
 
-def _echelon(vectors: Sequence[Vector], p: int) -> Tuple[List[int], List[Vector]]:
+def _echelon(
+    vectors: Iterable[Vector], p: int, stop: Optional[int] = None
+) -> Tuple[List[int], List[Vector]]:
     """Gaussian elimination over GF(p) on a list of sparse vectors.
 
     Returns (pivots, kernel): the indices of the vectors independent of all
     earlier ones, in order, and one relation per dependent vector, written
     over the vector indices.  Deterministic: vector i is reduced against the
     echelon rows of vectors 0..i-1 by smallest leading coordinate.
+
+    With a positive ``stop`` the call is rank-only: it tracks no relations,
+    returns an empty kernel, and returns as soon as it has ``stop`` pivots
+    (the first ``stop`` pivots of a full run).
     """
     rows: Dict[int, Tuple[Vector, Vector]] = {}  # lead -> (row, combination)
     pivots: List[int] = []
     kernel: List[Vector] = []
     for idx, vec in enumerate(vectors):
         v = {c: x % p for c, x in vec.items() if x % p}
-        comb = {idx: 1}
+        comb = {} if stop else {idx: 1}
         while v:
             lead = min(v)
             if lead not in rows:
@@ -268,6 +274,8 @@ def _echelon(vectors: Sequence[Vector], p: int) -> Tuple[List[int], List[Vector]
                 rows[lead] = ({c: x * inv % p for c, x in v.items()},
                               {c: x * inv % p for c, x in comb.items()})
                 pivots.append(idx)
+                if len(pivots) == stop:
+                    return pivots, kernel
                 break
             f = v[lead]
             for target, source in zip((v, comb), rows[lead]):
@@ -278,7 +286,8 @@ def _echelon(vectors: Sequence[Vector], p: int) -> Tuple[List[int], List[Vector]
                     else:
                         target.pop(c, None)
         else:
-            kernel.append(comb)
+            if not stop:
+                kernel.append(comb)
     return pivots, kernel
 
 
@@ -376,9 +385,16 @@ def resolve(
     Every map is Z^n-graded, so the kernel at total degree d is computed one
     multidegree block beta (|beta| = d) at a time: columns (beta - alpha_j, j)
     of the current module, rows (beta - alpha_k, k) of the previous one, both
-    with a standard monomial.  Step i is scanned up to its bound from
-    ``_cutoffs``; every bound is proven, so the step is complete once the scan
-    reaches it.
+    with a standard monomial.  A new generator is a kernel vector outside the
+    span of the multiples of the generators found at lower degrees.
+    Rank first: until step i has found a generator nothing spans, so every
+    kernel vector is new.  From then on exactness gives each block's kernel
+    dimension without elimination (``kernel_dims``); a block of dimension 0
+    is skipped, and a block whose multiples reach that rank (a rank-only
+    ``_echelon``) holds no new generator.  Only the other blocks build their
+    images and eliminate the kernel, and there the kernel is audited against
+    the ledger.  Step i is scanned up to its bound from ``_cutoffs``; every
+    bound is proven, so the step is complete once the scan reaches it.
     Homological degrees whose scan was cut short by ``max_internal`` are
     flagged incomplete in the returned table; no exception is raised here.
     Before returning, the table is checked against the Hilbert function of
@@ -431,10 +447,31 @@ def resolve(
         for g in first:
             entries[(1, sum(g))] = entries.get((1, sum(g)), 0) + 1
         complete.append(max_internal >= cutoffs[1][0])
-    prev, current = _FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])
+    modules = [_FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])]
+
+    # (j, d) -> {beta: dim ker(d_j)_beta} over the beta of degree d that F_j
+    # reaches, as step j found it, kept until step j + 1 reads it at the same
+    # degree; lives for this call only
+    ledger: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
+
+    def kernel_dims(
+        j: int, d: int, blocks: Optional[Dict[Monomial, List[int]]] = None
+    ) -> Dict[Monomial, int]:
+        """Exactness: dim ker(d_j)_beta = dim F_{j,beta} - dim im(d_j)_beta,
+        with im(d_j) = ker(d_{j-1}) for j >= 2 and dim im(d_1)_beta =
+        [beta standard in A] wherever F_1 reaches beta (then beta is in J).
+        Valid while F_j holds every generator of degree <= d, which the proven
+        cutoffs give for every d a step scans, under a budget too."""
+        if (j, d) in ledger:
+            return ledger.pop((j, d))
+        if blocks is None:
+            blocks = spread(modules[j].degrees, d)
+        image = kernel_dims(j - 1, d) if j > 1 else dict.fromkeys(standard_of(d)[0], 1)
+        return {beta: len(cols) - image.get(beta, 0) for beta, cols in blocks.items()}
 
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
+        prev, current = modules[i - 1], modules[i]
         bound = cutoffs[i + 1][0]
         cutoff = min(max_internal, bound)
         # an empty F_i has no kernel in any degree, so no budget can hide a
@@ -443,10 +480,28 @@ def resolve(
         degrees = range(min((sum(a) for a in current.degrees), default=cutoff) + 1, cutoff + 1)
         new = _FreeModule([], [])
         for d in degrees:
+            blocks = spread(current.degrees, d)
+            # before F_{i+1} has a generator nothing spans and every kernel
+            # vector is one; after, the ledger settles most blocks by rank
+            dims = kernel_dims(i, d, blocks) if new.degrees else None
+            if dims is not None and i + 1 < max_hom:
+                ledger[i, d] = dims
             # multiples of generators found in lower degrees, by block
-            multiples = spread(new.degrees, d)
+            multiples = spread(new.degrees, d) if dims else {}
             fresh = 0
-            for beta, cols in spread(current.degrees, d).items():
+            for beta, cols in blocks.items():
+                span: List[Vector] = []
+                if dims is not None:
+                    dim = dims[beta]
+                    if not dim:
+                        continue
+                    position = {j: c for c, j in enumerate(cols)}
+                    span = [
+                        {position[j]: c for j, c in new.columns[g].items() if j in position}
+                        for g in multiples.get(beta, ())
+                    ]
+                    if span and len(_echelon(span, p, stop=dim)[0]) == dim:
+                        continue
                 row_ok: Dict[int, bool] = {}
                 images = []
                 for j in cols:
@@ -459,30 +514,35 @@ def resolve(
                             image[k] = c
                     images.append(image)
                 pivots, kernel = _echelon(images, p)
+                # exactness audit: the kernel has the ledger's dimension
+                if dims is not None and len(kernel) != dim:
+                    raise InternalInconsistency(
+                        f"exactness audit failed at multidegree {beta}: kernel of "
+                        f"dimension {len(kernel)}, ledger {dim}"
+                    )
                 # rank-nullity audit: rank + dim ker = number of columns
                 if len(pivots) + len(kernel) != len(images):
                     raise InternalInconsistency(
                         f"rank-nullity audit failed at multidegree {beta}: "
                         f"{len(pivots)} + {len(kernel)} != {len(images)}"
                     )
-                if not kernel:
-                    continue
-                position = {j: c for c, j in enumerate(cols)}
-                span = [
-                    {position[j]: c for j, c in new.columns[g].items() if j in position}
-                    for g in multiples.get(beta, ())
-                ]
-                pivots, _ = _echelon(span + kernel, p)
-                for idx in pivots:
-                    if idx >= len(span):
-                        vec = kernel[idx - len(span)]
-                        new.degrees.append(beta)
-                        new.columns.append({cols[c]: x for c, x in vec.items()})
-                        fresh += 1
+                if span:
+                    pivots, _ = _echelon(span + kernel, p)
+                    # the multiples lie in the kernel, so they add no rank to it
+                    if len(pivots) != dim:
+                        raise InternalInconsistency(
+                            f"exactness audit failed at multidegree {beta}: multiples "
+                            f"and kernel span dimension {len(pivots)}, ledger {dim}"
+                        )
+                    kernel = [kernel[idx - len(span)] for idx in pivots if idx >= len(span)]
+                for vec in kernel:
+                    new.degrees.append(beta)
+                    new.columns.append({cols[c]: x for c, x in vec.items()})
+                    fresh += 1
             if fresh:
                 entries[(i + 1, d)] = fresh
         complete.append(not budget_hit and complete[i])
-        prev, current = current, new
+        modules.append(new)
 
     table = GradedBettiTable(entries, max_hom, complete, [r for _, r in cutoffs])
     _certify(pres, table, [standard_of(d)[0] for d in range(max_hom + 1)])

@@ -67,10 +67,12 @@ def test_euler_hilbert_identity(name):
 
 
 def test_identical_calls_make_identical_counts(monkeypatch):
-    """Memoised lookups live inside one resolve call: nothing carries over."""
-    counts = {"kbasis": 0, "contains": 0}
+    """Memoised lookups and the exactness ledger live inside one resolve
+    call: nothing carries over."""
+    counts = {"kbasis": 0, "contains": 0, "kernel": 0, "rank": 0}
     real_kbasis = oracle.kbasis
     real_contains = MonomialIdeal.contains_monomial
+    real_echelon = oracle._echelon
 
     def counting_kbasis(*args):
         counts["kbasis"] += 1
@@ -80,15 +82,35 @@ def test_identical_calls_make_identical_counts(monkeypatch):
         counts["contains"] += 1
         return real_contains(self, m)
 
+    def counting_echelon(vectors, p, stop=None):
+        counts["rank" if stop else "kernel"] += 1
+        return real_echelon(vectors, p, stop=stop)
+
     monkeypatch.setattr(oracle, "kbasis", counting_kbasis)
     monkeypatch.setattr(MonomialIdeal, "contains_monomial", counting_contains)
+    monkeypatch.setattr(oracle, "_echelon", counting_echelon)
     seen = []
     for _ in range(2):
-        counts.update(kbasis=0, contains=0)
+        counts.update(kbasis=0, contains=0, kernel=0, rank=0)
         resolve(presentation("resolve-x4-h3", oracle.DEFAULT_CHAR), 3)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["kbasis"] > 0 and seen[0]["contains"] > 0
+    assert all(seen[0].values())
+
+
+def test_rank_first_bounds_the_kernel_eliminations(monkeypatch):
+    """Most blocks of x4 at hom 5 are settled by the ledger or by the rank of
+    their span; eliminating every block's kernel took 1,360 calls."""
+    stops = []
+    real = oracle._echelon
+
+    def counting(vectors, p, stop=None):
+        stops.append(stop)
+        return real(vectors, p, stop=stop)
+
+    monkeypatch.setattr(oracle, "_echelon", counting)
+    resolve(presentation("resolve-x4-h5", oracle.DEFAULT_CHAR), 5)
+    assert stops.count(None) <= 300
 
 
 def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
@@ -104,6 +126,41 @@ def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
                                 "module": ["x", "y"], "max_hom": 2}))
     assert cli.run(["resolve", "--scenario", str(path)]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    ("kernel", "kernel of dimension"),
+    ("span", "multiples and kernel span dimension"),
+])
+def test_exactness_audit_exits_3(corrupt, message, monkeypatch, tmp_path, capsys):
+    # after a rank-only call that falls short, the same block runs the kernel
+    # elimination and then span + kernel; drop a kernel vector from the first
+    # or add a pivot to the second
+    real = oracle._echelon
+    since_short = [None]
+
+    def corrupted(vectors, p, stop=None):
+        if stop:
+            pivots, kernel = real(vectors, p, stop=stop)
+            since_short[0] = 0 if len(pivots) < stop else None
+            return pivots, kernel
+        pivots, kernel = real(vectors, p)
+        if since_short[0] is not None:
+            since_short[0] += 1
+        if corrupt == "kernel" and since_short[0] == 1:
+            return pivots, kernel[1:]
+        if corrupt == "span" and since_short[0] == 2:
+            return pivots + [len(pivots)], kernel
+        return pivots, kernel
+
+    monkeypatch.setattr(oracle, "_echelon", corrupted)
+    variables, ring, _, _ = CASES["resolve-x4-h4"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"vars": variables, "ideal": ring, "module": variables,
+                                "max_hom": 4}))
+    assert cli.run(["resolve", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "exactness audit" in err and message in err
 
 
 def test_euler_certificate_exits_3_on_a_wrong_bound(monkeypatch, tmp_path, capsys):
@@ -128,15 +185,19 @@ def test_froberg_certificate_rejects_a_table_that_passes_euler():
         oracle._certify(pres, table, [kbasis(pres.ideal, d) for d in range(4)])
 
 
+def random_vectors(rng, p, nrows):
+    return [
+        {r: rng.randrange(1, p) for r in range(nrows) if rng.random() < 0.5}
+        for _ in range(rng.randint(0, 6))
+    ]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32), st.sampled_from([2, 3, 32003]))
 def test_echelon_pivots_and_kernel(seed, p):
     rng = random.Random(seed)
     nrows = rng.randint(0, 5)
-    vectors = [
-        {r: rng.randrange(1, p) for r in range(nrows) if rng.random() < 0.5}
-        for _ in range(rng.randint(0, 6))
-    ]
+    vectors = random_vectors(rng, p, nrows)
     pivots, kernel = oracle._echelon(vectors, p)
     assert len(pivots) + len(kernel) == len(vectors)
     assert len(pivots) <= nrows
@@ -145,3 +206,22 @@ def test_echelon_pivots_and_kernel(seed, p):
         for r in range(nrows):
             total = sum(c * vectors[i].get(r, 0) for i, c in relation.items())
             assert total % p == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 32003]))
+def test_echelon_stop_returns_the_first_pivots(seed, p):
+    rng = random.Random(seed)
+    vectors = random_vectors(rng, p, rng.randint(0, 5))
+    pivots, kernel = oracle._echelon(vectors, p)
+    assert oracle._echelon(vectors, p, stop=None) == (pivots, kernel)
+    # without a stop each relation is the unique one writing a dependent
+    # vector over the pivots before it
+    for relation in kernel:
+        assert set(relation) - {max(relation)} <= {q for q in pivots if q < max(relation)}
+    for r in range(1, len(vectors) + 2):
+        rest = iter(vectors)
+        assert oracle._echelon(rest, p, stop=r) == (pivots[:r], [])
+        # nothing past the r-th pivot is read
+        unread = len(vectors) - pivots[r - 1] - 1 if r <= len(pivots) else 0
+        assert len(list(rest)) == unread
