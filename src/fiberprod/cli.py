@@ -160,9 +160,8 @@ def run_verify(
     M = MonomialIdeal(I.num_vars, I.generators | K.generators)
     intersection, total = oracle.fiber_presentation(I, J)
 
-    def truncation(base: MonomialIdeal, extra: MonomialIdeal) -> TruncatedSeries:
-        module_ideal = MonomialIdeal(base.num_vars, base.generators | extra.generators)
-        pres = QuotientPresentation(base.num_vars, p, base, module_ideal)
+    def truncation(ideal: MonomialIdeal, module_ideal: MonomialIdeal) -> TruncatedSeries:
+        pres = QuotientPresentation(ideal.num_vars, p, ideal, module_ideal)
         return oracle.poincare_truncation(pres, order, max_internal)
 
     p_M_over_R = truncation(I, M)
@@ -328,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         if name != "examples":
             sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--order", type=int, default=None,
-                        help=f"truncation order (default {DEFAULT_ORDER})")
+        if name in ("series", "resolve", "verify"):
+            sp.add_argument("--order", type=int, default=None,
+                            help=f"truncation order (default {DEFAULT_ORDER})")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--char", type=int, default=None,
                         help=f"field characteristic (default {DEFAULT_CHAR})")
-        sp.add_argument("--max-internal", type=int, default=None, dest="max_internal",
-                        help="internal-degree budget for the oracle")
+        if name in ("resolve", "verify"):
+            sp.add_argument("--max-internal", type=int, default=None, dest="max_internal",
+                            help="internal-degree budget for the oracle")
     return parser
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -212,11 +213,11 @@ class GradedBettiTable:
     complete: List[bool]
     reasons: List[str]
 
-    def total(self, i: int) -> int:
-        return sum(v for (h, _), v in self.entries.items() if h == i)
-
     def totals(self) -> List[int]:
-        return [self.total(i) for i in range(self.max_hom + 1)]
+        out = [0] * (self.max_hom + 1)
+        for (i, _), v in self.entries.items():
+            out[i] += v
+        return out
 
     def is_complete_through(self) -> bool:
         return all(self.complete)
@@ -387,16 +388,17 @@ def resolve(
     of the current module, rows (beta - alpha_k, k) of the previous one, both
     with a standard monomial.  A new generator is a kernel vector outside the
     span of the multiples of the generators found at lower degrees.
-    Rank first: until step i has found a generator nothing spans, so every
-    kernel vector is new.  From then on exactness gives each block's kernel
-    dimension without elimination (``kernel_dims``); a block of dimension 0
-    is skipped, and a block whose multiples reach that rank (a rank-only
-    ``_echelon``) holds no new generator.  Only the other blocks build their
-    images and eliminate the kernel, and there the kernel is audited against
-    the ledger.  Step i is scanned up to its bound from ``_cutoffs``; every
-    bound is proven, so the step is complete once the scan reaches it.
-    Homological degrees whose scan was cut short by ``max_internal`` are
-    flagged incomplete in the returned table; no exception is raised here.
+    Rank first, with one rule for every block of every scanned degree:
+    exactness gives the block's kernel dimension without elimination
+    (``kernel_dims``); a block of dimension 0 is skipped, and a block whose
+    multiples reach that rank (a rank-only ``_echelon``) holds no new
+    generator.  Only the other blocks build their images and eliminate the
+    kernel, and every such elimination is audited against the ledger.  Step i
+    is scanned up to its bound from ``_cutoffs``; every bound is proven.
+    After the scan the (i, j) entries are counted from the multidegrees of
+    each F_i, and step i is complete when step i - 1 is and either F_{i-1} = 0
+    (nothing left to resolve) or ``max_internal`` reaches the bound on t_i;
+    an incomplete step is flagged, and no exception is raised here.
     Before returning, the table is checked against the Hilbert function of
     A/J (and, for k over a quadratic A, against Froberg's 1/H_A(-z)); a
     failed check raises ``InternalInconsistency``.
@@ -432,22 +434,14 @@ def resolve(
                     out.setdefault(tuple(map(operator.add, alpha, m)), []).append(g)
         return out
 
-    entries: Dict[Tuple[int, int], int] = {(0, 0): 1}
-    complete = [True]
-    zero = (0,) * n
     # F_1 = J/I needs no scan: its generators are the minimal generators of J
     # outside I, each mapping onto the generator of F_0 = A; graded-lex order
     # fixes the column order of every later step.
-    first: List[Monomial] = []
-    if max_hom:
-        first = [
-            g for g in pres.module_ideal.sorted_generators()
-            if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
-        ]
-        for g in first:
-            entries[(1, sum(g))] = entries.get((1, sum(g)), 0) + 1
-        complete.append(max_internal >= cutoffs[1][0])
-    modules = [_FreeModule([zero], []), _FreeModule(first, [{0: 1} for _ in first])]
+    first = [
+        g for g in pres.module_ideal.sorted_generators()
+        if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
+    ]
+    modules = [_FreeModule([(0,) * n], []), _FreeModule(first, [{0: 1} for _ in first])]
 
     # (j, d) -> {beta: dim ker(d_j)_beta} over the beta of degree d that F_j
     # reaches, as step j found it, kept until step j + 1 reads it at the same
@@ -472,36 +466,27 @@ def resolve(
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
         prev, current = modules[i - 1], modules[i]
-        bound = cutoffs[i + 1][0]
-        cutoff = min(max_internal, bound)
-        # an empty F_i has no kernel in any degree, so no budget can hide a
-        # generator of F_{i+1}: the step is then exactly as complete as F_i
-        budget_hit = bool(current.degrees) and cutoff < bound
+        cutoff = min(max_internal, cutoffs[i + 1][0])
         degrees = range(min((sum(a) for a in current.degrees), default=cutoff) + 1, cutoff + 1)
         new = _FreeModule([], [])
         for d in degrees:
             blocks = spread(current.degrees, d)
-            # before F_{i+1} has a generator nothing spans and every kernel
-            # vector is one; after, the ledger settles most blocks by rank
-            dims = kernel_dims(i, d, blocks) if new.degrees else None
-            if dims is not None and i + 1 < max_hom:
+            dims = kernel_dims(i, d, blocks)
+            if i + 1 < max_hom:
                 ledger[i, d] = dims
             # multiples of generators found in lower degrees, by block
             multiples = spread(new.degrees, d) if dims else {}
-            fresh = 0
             for beta, cols in blocks.items():
-                span: List[Vector] = []
-                if dims is not None:
-                    dim = dims[beta]
-                    if not dim:
-                        continue
-                    position = {j: c for c, j in enumerate(cols)}
-                    span = [
-                        {position[j]: c for j, c in new.columns[g].items() if j in position}
-                        for g in multiples.get(beta, ())
-                    ]
-                    if span and len(_echelon(span, p, stop=dim)[0]) == dim:
-                        continue
+                dim = dims[beta]
+                if not dim:
+                    continue
+                position = {j: c for c, j in enumerate(cols)}
+                span = [
+                    {position[j]: c for j, c in new.columns[g].items() if j in position}
+                    for g in multiples.get(beta, ())
+                ]
+                if span and len(_echelon(span, p, stop=dim)[0]) == dim:
+                    continue
                 row_ok: Dict[int, bool] = {}
                 images = []
                 for j in cols:
@@ -515,7 +500,7 @@ def resolve(
                     images.append(image)
                 pivots, kernel = _echelon(images, p)
                 # exactness audit: the kernel has the ledger's dimension
-                if dims is not None and len(kernel) != dim:
+                if len(kernel) != dim:
                     raise InternalInconsistency(
                         f"exactness audit failed at multidegree {beta}: kernel of "
                         f"dimension {len(kernel)}, ledger {dim}"
@@ -538,12 +523,18 @@ def resolve(
                 for vec in kernel:
                     new.degrees.append(beta)
                     new.columns.append({cols[c]: x for c, x in vec.items()})
-                    fresh += 1
-            if fresh:
-                entries[(i + 1, d)] = fresh
-        complete.append(not budget_hit and complete[i])
         modules.append(new)
 
+    # at max_hom 0, F_1 was written down but lies outside the table
+    modules = modules[: max_hom + 1]
+    entries = Counter((i, sum(alpha)) for i, module in enumerate(modules)
+                      for alpha in module.degrees)
+    # step i is complete once F_{i-1} has no kernel to scan or the scan reached
+    # its proven bound, and every step before it is complete
+    complete = [True]
+    for i in range(1, max_hom + 1):
+        complete.append(complete[-1] and (not modules[i - 1].degrees
+                                          or max_internal >= cutoffs[i][0]))
     table = GradedBettiTable(entries, max_hom, complete, [r for _, r in cutoffs])
     _certify(pres, table, [standard_of(d)[0] for d in range(max_hom + 1)])
     return table

@@ -302,11 +302,37 @@ def test_verify_order_zero_is_a_validation_error(tmp_path, capsys):
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     path = corpus_path(tmp_path, "lescot-xy")
+    # a valid scenario of each kind, so that only the flag can fail
+    structure_data = {"R": {"dim": 1, "depth": 1, "edim": 2},
+                      "S": {"dim": 1, "depth": 1, "edim": 2},
+                      "T": {"dim": 0, "depth": 0, "edim": 1},
+                      "grade_mR": 1, "grade_mS": 1, "grade_mT": 0}
+    valid = {
+        "series": {"num": ["1"], "den": ["1", "-1"]},
+        "betti": {"beta_M_over_R": ["1", "2"], "beta_T_over_R": ["1", "2"],
+                  "beta_T_over_S": ["1", "1"], "n": 1},
+        "depth": structure_data,
+        "classify": {"data": structure_data},
+    }
+    scenario = {}
+    for kind, payload in valid.items():
+        scenario[kind] = tmp_path / f"{kind}.json"
+        scenario[kind].write_text(json.dumps({"kind": kind, "payload": payload}))
+        assert cli.run([kind, "--scenario", str(scenario[kind])]) == 0, kind
+    capsys.readouterr()
     for argv in (
         ["verify"],
         ["verify", "--scenario", path, "--order", "x"],
         ["verify", "--scenario", path, "--bogus"],
         ["verify", "--scenario", path, "--threads", "2"],
+        # --order is read only by series, resolve and verify, and --max-internal
+        # only by resolve and verify
+        *([kind, "--scenario", str(scenario[kind]), "--order", "4"]
+          for kind in ("betti", "depth", "classify")),
+        *([kind, "--scenario", str(scenario[kind]), "--max-internal", "6"]
+          for kind in ("series", "betti", "depth", "classify")),
+        ["examples", "--order", "4"],
+        ["examples", "--max-internal", "6"],
     ):
         assert cli.run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("validation error:"), argv

@@ -19,22 +19,27 @@ X4_IDEAL = ["x1*x2", "x3*x4", "x1^2", "x4^3"]
 XYZ = ["x", "y", "z"]
 XYZ_IDEAL = ["x^2", "y^2", "z^2", "x*y"]
 
-# golden file -> (variables, ring ideal, module ideal or None for k, max_hom)
+# golden file -> (variables, ring ideal, module ideal or None for k, max_hom
+# [, max_internal])
 CASES = {
     "resolve-x4-h3": (X4, X4_IDEAL, None, 3),
     "resolve-x4-h4": (X4, X4_IDEAL, None, 4),
     "resolve-x4-h5": (X4, X4_IDEAL, None, 5),
+    # budgeted: hom 4 and 5 cut short, complete T T T T F F
+    "resolve-x4-h5-budget6": (X4, X4_IDEAL, None, 5, 6),
     "resolve-xyz-h6": (XYZ, XYZ_IDEAL, None, 6),
     # T over R in the ci-xy-z2 corpus scenario
     "resolve-ci-xy-z2-T-over-R-h6": (XYZ, ["x", "z^2"], ["x", "y", "z^2"], 6),
     "resolve-xyz-module-x-yz-h5": (XYZ, XYZ_IDEAL, ["x", "y*z", "y^2", "z^2"], 5),
     # P/I over the polynomial ring P
     "resolve-x4-over-P-h4": (X4, [], X4_IDEAL, 4),
+    # budgeted: complete T T F F F
+    "resolve-x4-over-P-h4-budget5": (X4, [], X4_IDEAL, 4, 5),
 }
 
 
 def presentation(name, char):
-    variables, ring, module, _ = CASES[name]
+    variables, ring, module = CASES[name][:3]
     ideal = oracle.ideal_from_json(ring, variables)
     if module is None:
         return QuotientPresentation.residue_field(ideal, char=char)
@@ -45,7 +50,7 @@ def presentation(name, char):
 @pytest.mark.parametrize("char", [32003, 65537])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_tables_byte_identical(name, char):
-    table = resolve(presentation(name, char), CASES[name][3])
+    table = resolve(presentation(name, char), *CASES[name][3:])
     text = json.dumps(table.to_json(), indent=2) + "\n"
     assert text == (GOLDEN / f"{name}.json").read_text()
 
@@ -55,7 +60,7 @@ def test_euler_hilbert_identity(name):
     """sum_{i,j} (-1)^i beta_{i,j} H_A(d - j) = H_{A/J}(d) for d <= max_hom."""
     pres = presentation(name, oracle.DEFAULT_CHAR)
     max_hom = CASES[name][3]
-    table = resolve(pres, max_hom)
+    table = resolve(pres, *CASES[name][3:])
     quotient = pres.ideal if pres.module_ideal.is_zero() else pres.module_ideal
     for d in range(max_hom + 1):
         lhs = sum(
@@ -99,8 +104,9 @@ def test_identical_calls_make_identical_counts(monkeypatch):
 
 
 def test_rank_first_bounds_the_kernel_eliminations(monkeypatch):
-    """Most blocks of x4 at hom 5 are settled by the ledger or by the rank of
-    their span; eliminating every block's kernel took 1,360 calls."""
+    """Most blocks are settled by the ledger or by the rank of their span, from
+    the first scanned degree of each step on; eliminating every block's kernel
+    took 1,360 calls on x4 at hom 5."""
     stops = []
     real = oracle._echelon
 
@@ -109,8 +115,10 @@ def test_rank_first_bounds_the_kernel_eliminations(monkeypatch):
         return real(vectors, p, stop=stop)
 
     monkeypatch.setattr(oracle, "_echelon", counting)
-    resolve(presentation("resolve-x4-h5", oracle.DEFAULT_CHAR), 5)
-    assert stops.count(None) <= 300
+    for name, limit in (("resolve-x4-h5", 100), ("resolve-x4-over-P-h4", 20)):
+        stops.clear()
+        resolve(presentation(name, oracle.DEFAULT_CHAR), CASES[name][3])
+        assert stops.count(None) <= limit, name
 
 
 def test_rank_nullity_audit_exits_3(monkeypatch, tmp_path, capsys):
@@ -161,6 +169,31 @@ def test_exactness_audit_exits_3(corrupt, message, monkeypatch, tmp_path, capsys
     assert cli.run(["resolve", "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
     assert "exactness audit" in err and message in err
+
+
+def test_exactness_audit_covers_the_first_scanned_degree(monkeypatch, tmp_path, capsys):
+    # k over k[x]/(x^3) at hom 3: the second kernel elimination with a nonempty
+    # kernel is the block x^4, the first scanned degree of step 2, whose kernel
+    # vector is the one generator of F_3.  Turning that vector into a pivot
+    # keeps rank + nullity, and degree 4 lies above max_hom, where no
+    # certificate looks; only the ledger sees the missing generator.
+    real = oracle._echelon
+    nonempty = [0]
+
+    def corrupted(vectors, p, stop=None):
+        pivots, kernel = real(vectors, p, stop=stop)
+        if stop is None and kernel:
+            nonempty[0] += 1
+            if nonempty[0] == 2:
+                return sorted(pivots + [max(kernel[0])]), kernel[1:]
+        return pivots, kernel
+
+    monkeypatch.setattr(oracle, "_echelon", corrupted)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"vars": ["x"], "ideal": ["x^3"], "module": ["x"],
+                                "max_hom": 3}))
+    assert cli.run(["resolve", "--scenario", str(path)]) == 3
+    assert "exactness audit" in capsys.readouterr().err
 
 
 def test_euler_certificate_exits_3_on_a_wrong_bound(monkeypatch, tmp_path, capsys):
