@@ -6,15 +6,17 @@ one multidegree block at a time.  Output: graded Betti tables, truncated
 Poincare series, Krull dimension and depth of monomial quotients, and the
 same-ambient fiber product presentation P/(I intersect J).
 
-Monomials are exponent tuples.  The monomial order everywhere is graded
-lexicographic (within a degree: descending lex on exponent tuples), fixed so
-that outputs are deterministic.
+The public interface takes and returns monomials as exponent tuples.  Inside
+``resolve`` each exponent vector is one packed int (``_Packing``): a product
+is one addition, a quotient by a divisor one subtraction, and divisibility one
+masked subtraction.  The monomial order everywhere is graded lexicographic
+(within a degree: descending lex on exponent tuples, which is descending
+order on the packed ints), fixed so that outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -125,6 +127,38 @@ def kbasis(ideal: MonomialIdeal, degree: int) -> List[Monomial]:
         for m in monomials_of_degree(ideal.num_vars, degree)
         if not ideal.contains_monomial(m)
     ]
+
+
+class _Packing:
+    """Exponent vectors in n variables with every exponent <= top, packed into
+    one int each.  Variable 0 takes the highest field, and each field holds an
+    exponent under one guard bit, so within one total degree integer order is
+    descending lex order when sorted in reverse.  g divides m iff no field of
+    (m with the guard bits set) - g borrows from its guard bit."""
+
+    def __init__(self, num_vars: int, top: int):
+        width = top.bit_length() + 1
+        self.shifts = [(num_vars - 1 - v) * width for v in range(num_vars)]
+        self.units = [1 << s for s in self.shifts]
+        self.guard = sum(u << (width - 1) for u in self.units)
+        self.mask = (1 << width) - 1
+
+    def pack(self, m: Monomial) -> int:
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def unpack(self, m: int) -> Monomial:
+        return tuple(m >> s & self.mask for s in self.shifts)
+
+
+def _standard_step(previous: List[int], packing: _Packing, ideal: List[int]) -> List[int]:
+    """Standard monomials of P/I in degree d, descending, from those in degree
+    d - 1: they form an order ideal, so each is a standard monomial of degree
+    d - 1 times a variable.  ``ideal`` holds I's packed generators."""
+    guard = packing.guard
+    candidates = {m + u for m in previous for u in packing.units}
+    return sorted((c for c in candidates
+                   if not any(((c | guard) - g) & guard == guard for g in ideal)),
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +333,13 @@ def _echelon(
 class _FreeModule:
     """Multigraded free module with a differential into the previous one.
 
-    Generator g has multidegree degrees[g]; its image is the sparse map
-    columns[g] = {k: c}, meaning c * x^(degrees[g] - alpha_k) on generator k
-    of the previous module (a multihomogeneous image has one monomial per
-    component)."""
+    Generator g has packed multidegree degrees[g] of total degree totals[g];
+    its image is the sparse map columns[g] = {k: c}, meaning
+    c * x^(degrees[g] - alpha_k) on generator k of the previous module (a
+    multihomogeneous image has one monomial per component)."""
 
-    degrees: List[Monomial]
+    degrees: List[int]
+    totals: List[int]
     columns: List[Vector]
 
 
@@ -412,26 +447,32 @@ def resolve(
     if max_internal < max_hom:
         raise ValidationError("max_internal must be at least max_hom")
     p = pres.char
-    n = pres.num_vars
+    # every multidegree below has total degree <= max_internal, so no exponent
+    # exceeds top, and neither does one of I's generators or J's
+    top = max([max_internal] + [e for g in pres.ideal.generators | pres.module_ideal.generators
+                                for e in g])
+    packing = _Packing(pres.num_vars, top)
+    ideal = [packing.pack(g) for g in pres.ideal.generators]
 
-    # standard monomials of A = P/I by degree; lives for this call only
-    standard: Dict[int, Tuple[List[Monomial], frozenset]] = {}
+    # standard monomials of A = P/I by degree, built as an order ideal, and
+    # all of them as one set; lives for this call only
+    standard: List[List[int]] = [[0]]
+    is_standard = {0}
 
-    def standard_of(degree: int) -> Tuple[List[Monomial], frozenset]:
-        if degree not in standard:
-            basis = kbasis(pres.ideal, degree)
-            standard[degree] = (basis, frozenset(basis))
+    def standard_of(degree: int) -> List[int]:
+        while len(standard) <= degree:
+            standard.append(_standard_step(standard[-1], packing, ideal))
+            is_standard.update(standard[-1])
         return standard[degree]
 
-    def spread(gens: Sequence[Monomial], degree: int) -> Dict[Monomial, List[int]]:
+    def spread(module: _FreeModule, degree: int) -> Dict[int, List[int]]:
         """Multidegrees beta of total degree d that generator g reaches by a
         standard monomial, beta - alpha_g: beta -> [g, ...]."""
-        out: Dict[Monomial, List[int]] = {}
-        for g, alpha in enumerate(gens):
-            gap = degree - sum(alpha)
-            if gap >= 0:
-                for m in standard_of(gap)[0]:
-                    out.setdefault(tuple(map(operator.add, alpha, m)), []).append(g)
+        out: Dict[int, List[int]] = {}
+        for g, (alpha, total) in enumerate(zip(module.degrees, module.totals)):
+            if total <= degree:
+                for m in standard_of(degree - total):
+                    out.setdefault(alpha + m, []).append(g)
         return out
 
     # F_1 = J/I needs no scan: its generators are the minimal generators of J
@@ -441,16 +482,18 @@ def resolve(
         g for g in pres.module_ideal.sorted_generators()
         if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
     ]
-    modules = [_FreeModule([(0,) * n], []), _FreeModule(first, [{0: 1} for _ in first])]
+    modules = [_FreeModule([0], [0], []),
+               _FreeModule([packing.pack(g) for g in first], [sum(g) for g in first],
+                           [{0: 1} for _ in first])]
 
     # (j, d) -> {beta: dim ker(d_j)_beta} over the beta of degree d that F_j
     # reaches, as step j found it, kept until step j + 1 reads it at the same
     # degree; lives for this call only
-    ledger: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
+    ledger: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def kernel_dims(
-        j: int, d: int, blocks: Optional[Dict[Monomial, List[int]]] = None
-    ) -> Dict[Monomial, int]:
+        j: int, d: int, blocks: Optional[Dict[int, List[int]]] = None
+    ) -> Dict[int, int]:
         """Exactness: dim ker(d_j)_beta = dim F_{j,beta} - dim im(d_j)_beta,
         with im(d_j) = ker(d_{j-1}) for j >= 2 and dim im(d_1)_beta =
         [beta standard in A] wherever F_1 reaches beta (then beta is in J).
@@ -459,23 +502,28 @@ def resolve(
         if (j, d) in ledger:
             return ledger.pop((j, d))
         if blocks is None:
-            blocks = spread(modules[j].degrees, d)
-        image = kernel_dims(j - 1, d) if j > 1 else dict.fromkeys(standard_of(d)[0], 1)
+            blocks = spread(modules[j], d)
+        image = kernel_dims(j - 1, d) if j > 1 else dict.fromkeys(standard_of(d), 1)
         return {beta: len(cols) - image.get(beta, 0) for beta, cols in blocks.items()}
 
     for i in range(1, max_hom):
         # generators of F_{i+1} = minimal generators of ker(d_i)
         prev, current = modules[i - 1], modules[i]
         cutoff = min(max_internal, cutoffs[i + 1][0])
-        degrees = range(min((sum(a) for a in current.degrees), default=cutoff) + 1, cutoff + 1)
-        new = _FreeModule([], [])
+        degrees = range(min(current.totals, default=cutoff) + 1, cutoff + 1)
+        # step i + 1 scans from one above the lowest degree of F_{i+1} up to
+        # its own cutoff, so it reads the ledger only at the degrees above a
+        # generator found here and up to that cutoff
+        read_to = min(max_internal, cutoffs[i + 2][0]) if i + 1 < max_hom else -1
+        new = _FreeModule([], [], [])
         for d in degrees:
-            blocks = spread(current.degrees, d)
+            standard_of(d)  # the row tests look up standard monomials of degree <= d
+            blocks = spread(current, d)
             dims = kernel_dims(i, d, blocks)
-            if i + 1 < max_hom:
+            if new.degrees and d <= read_to:
                 ledger[i, d] = dims
             # multiples of generators found in lower degrees, by block
-            multiples = spread(new.degrees, d) if dims else {}
+            multiples = spread(new, d) if dims else {}
             for beta, cols in blocks.items():
                 dim = dims[beta]
                 if not dim:
@@ -493,8 +541,7 @@ def resolve(
                     image = {}
                     for k, c in current.columns[j].items():
                         if k not in row_ok:
-                            rest = tuple(map(operator.sub, beta, prev.degrees[k]))
-                            row_ok[k] = rest in standard_of(sum(rest))[1]
+                            row_ok[k] = beta - prev.degrees[k] in is_standard
                         if row_ok[k]:
                             image[k] = c
                     images.append(image)
@@ -502,13 +549,13 @@ def resolve(
                 # exactness audit: the kernel has the ledger's dimension
                 if len(kernel) != dim:
                     raise InternalInconsistency(
-                        f"exactness audit failed at multidegree {beta}: kernel of "
-                        f"dimension {len(kernel)}, ledger {dim}"
+                        f"exactness audit failed at multidegree {packing.unpack(beta)}: "
+                        f"kernel of dimension {len(kernel)}, ledger {dim}"
                     )
                 # rank-nullity audit: rank + dim ker = number of columns
                 if len(pivots) + len(kernel) != len(images):
                     raise InternalInconsistency(
-                        f"rank-nullity audit failed at multidegree {beta}: "
+                        f"rank-nullity audit failed at multidegree {packing.unpack(beta)}: "
                         f"{len(pivots)} + {len(kernel)} != {len(images)}"
                     )
                 if span:
@@ -516,19 +563,19 @@ def resolve(
                     # the multiples lie in the kernel, so they add no rank to it
                     if len(pivots) != dim:
                         raise InternalInconsistency(
-                            f"exactness audit failed at multidegree {beta}: multiples "
-                            f"and kernel span dimension {len(pivots)}, ledger {dim}"
+                            f"exactness audit failed at multidegree {packing.unpack(beta)}: "
+                            f"multiples and kernel span dimension {len(pivots)}, ledger {dim}"
                         )
                     kernel = [kernel[idx - len(span)] for idx in pivots if idx >= len(span)]
                 for vec in kernel:
                     new.degrees.append(beta)
+                    new.totals.append(d)
                     new.columns.append({cols[c]: x for c, x in vec.items()})
         modules.append(new)
 
     # at max_hom 0, F_1 was written down but lies outside the table
     modules = modules[: max_hom + 1]
-    entries = Counter((i, sum(alpha)) for i, module in enumerate(modules)
-                      for alpha in module.degrees)
+    entries = Counter((i, total) for i, module in enumerate(modules) for total in module.totals)
     # step i is complete once F_{i-1} has no kernel to scan or the scan reached
     # its proven bound, and every step before it is complete
     complete = [True]
@@ -536,7 +583,8 @@ def resolve(
         complete.append(complete[-1] and (not modules[i - 1].degrees
                                           or max_internal >= cutoffs[i][0]))
     table = GradedBettiTable(entries, max_hom, complete, [r for _, r in cutoffs])
-    _certify(pres, table, [standard_of(d)[0] for d in range(max_hom + 1)])
+    _certify(pres, table, [[packing.unpack(m) for m in standard_of(d)]
+                           for d in range(max_hom + 1)])
     return table
 
 

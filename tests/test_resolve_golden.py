@@ -35,6 +35,11 @@ CASES = {
     "resolve-x4-over-P-h4": (X4, [], X4_IDEAL, 4),
     # budgeted: complete T T F F F
     "resolve-x4-over-P-h4-budget5": (X4, [], X4_IDEAL, 4, 5),
+    # the packed field width: a ring generator's exponent above the budget,
+    # one variable, a budget far above every exponent
+    "resolve-xy-x9-h4-budget5": (["x", "y"], ["x^9", "x*y", "y^3"], None, 4, 5),
+    "resolve-x-x4-h5": (["x"], ["x^4"], None, 5),
+    "resolve-xyz-h4-internal100": (XYZ, XYZ_IDEAL, None, 4, 100),
 }
 
 
@@ -74,14 +79,14 @@ def test_euler_hilbert_identity(name):
 def test_identical_calls_make_identical_counts(monkeypatch):
     """Memoised lookups and the exactness ledger live inside one resolve
     call: nothing carries over."""
-    counts = {"kbasis": 0, "contains": 0, "kernel": 0, "rank": 0}
-    real_kbasis = oracle.kbasis
+    counts = {"standard": 0, "contains": 0, "kernel": 0, "rank": 0}
+    real_standard = oracle._standard_step
     real_contains = MonomialIdeal.contains_monomial
     real_echelon = oracle._echelon
 
-    def counting_kbasis(*args):
-        counts["kbasis"] += 1
-        return real_kbasis(*args)
+    def counting_standard(*args):
+        counts["standard"] += 1
+        return real_standard(*args)
 
     def counting_contains(self, m):
         counts["contains"] += 1
@@ -91,12 +96,12 @@ def test_identical_calls_make_identical_counts(monkeypatch):
         counts["rank" if stop else "kernel"] += 1
         return real_echelon(vectors, p, stop=stop)
 
-    monkeypatch.setattr(oracle, "kbasis", counting_kbasis)
+    monkeypatch.setattr(oracle, "_standard_step", counting_standard)
     monkeypatch.setattr(MonomialIdeal, "contains_monomial", counting_contains)
     monkeypatch.setattr(oracle, "_echelon", counting_echelon)
     seen = []
     for _ in range(2):
-        counts.update(kbasis=0, contains=0, kernel=0, rank=0)
+        counts.update(standard=0, contains=0, kernel=0, rank=0)
         resolve(presentation("resolve-x4-h3", oracle.DEFAULT_CHAR), 3)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
@@ -216,6 +221,23 @@ def test_froberg_certificate_rejects_a_table_that_passes_euler():
     table = oracle.GradedBettiTable(entries, 3, [True] * 4, ["generators"] * 4)
     with pytest.raises(InternalInconsistency, match="1/H_A"):
         oracle._certify(pres, table, [kbasis(pres.ideal, d) for d in range(4)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                         .filter(any), max_size=5))))
+def test_standard_step_builds_kbasis(ring):
+    """The order-ideal builder, unpacked, lists the standard monomials of
+    every degree in kbasis order."""
+    n, gens = ring
+    ideal = MonomialIdeal.of(n, gens)
+    packing = oracle._Packing(n, max([8] + [e for g in gens for e in g]))
+    packed = [packing.pack(g) for g in ideal.generators]
+    basis = [0]
+    for d in range(9):
+        assert [packing.unpack(m) for m in basis] == kbasis(ideal, d)
+        basis = oracle._standard_step(basis, packing, packed)
 
 
 def random_vectors(rng, p, nrows):
