@@ -331,8 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--order", type=int, default=None,
                             help=f"truncation order (default {DEFAULT_ORDER})")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--char", type=int, default=None,
-                        help=f"field characteristic (default {DEFAULT_CHAR})")
+        # depth and classify do not read --char; the benchmark's recorder
+        # still passes it to them
+        if name in ("resolve", "verify", "depth", "classify"):
+            sp.add_argument("--char", type=int, default=None,
+                            help=f"field characteristic (default {DEFAULT_CHAR})")
         if name in ("resolve", "verify"):
             sp.add_argument("--max-internal", type=int, default=None, dest="max_internal",
                             help="internal-degree budget for the oracle")

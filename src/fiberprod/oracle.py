@@ -416,20 +416,26 @@ def resolve(
     max_hom: int,
     max_internal: Optional[int] = None,
 ) -> GradedBettiTable:
-    """Graded Betti numbers of the cyclic module, by iterated syzygy steps.
+    """Graded Betti numbers of the cyclic module, degree by degree.
 
-    Every map is Z^n-graded, so the kernel at total degree d is computed one
-    multidegree block beta (|beta| = d) at a time: columns (beta - alpha_j, j)
-    of the current module, rows (beta - alpha_k, k) of the previous one, both
-    with a standard monomial.  A new generator is a kernel vector outside the
-    span of the multiples of the generators found at lower degrees.
+    Step i finds the generators of F_{i+1}, the minimal generators of
+    ker(d_i).  The total degree d is the outer loop and the step the inner
+    one (La Scala and Stillman, Strategies for computing minimal free
+    resolutions, 1998): at degree d, step i reads F_i through d, which step
+    i - 1 has just completed, and F_{i+1} below d.  Every map is Z^n-graded,
+    so the kernel at degree d is computed one multidegree block beta
+    (|beta| = d) at a time: columns (beta - alpha_j, j) of F_i, rows
+    (beta - alpha_k, k) of F_{i-1}, both with a standard monomial.  A new
+    generator is a kernel vector outside the span of the multiples of the
+    generators found at lower degrees.
     Rank first, with one rule for every block of every scanned degree:
-    exactness gives the block's kernel dimension without elimination
-    (``kernel_dims``); a block of dimension 0 is skipped, and a block whose
-    multiples reach that rank (a rank-only ``_echelon``) holds no new
-    generator.  Only the other blocks build their images and eliminate the
-    kernel, and every such elimination is audited against the ledger.  Step i
-    is scanned up to its bound from ``_cutoffs``; every bound is proven.
+    exactness gives each block's kernel dimension without elimination, in a
+    chain through the steps of one degree; a block of dimension 0 is skipped,
+    and a block whose multiples reach that rank (a rank-only ``_echelon``)
+    holds no new generator.  Only the other blocks build their images and
+    eliminate the kernel, and every such elimination is audited against the
+    chain.  Step i scans d up to its bound from ``_cutoffs``; every bound is
+    proven.
     After the scan the (i, j) entries are counted from the multidegrees of
     each F_i, and step i is complete when step i - 1 is and either F_{i-1} = 0
     (nothing left to resolve) or ``max_internal`` reaches the bound on t_i;
@@ -477,7 +483,8 @@ def resolve(
 
     # F_1 = J/I needs no scan: its generators are the minimal generators of J
     # outside I, each mapping onto the generator of F_0 = A; graded-lex order
-    # fixes the column order of every later step.
+    # fixes the column order of every later step.  F_2, ..., F_max_hom fill up
+    # degree by degree.
     first = [
         g for g in pres.module_ideal.sorted_generators()
         if not pres.ideal.contains_monomial(g) and sum(g) <= max_internal
@@ -485,46 +492,36 @@ def resolve(
     modules = [_FreeModule([0], [0], []),
                _FreeModule([packing.pack(g) for g in first], [sum(g) for g in first],
                            [{0: 1} for _ in first])]
+    modules += [_FreeModule([], [], []) for _ in range(2, max_hom + 1)]
 
-    # (j, d) -> {beta: dim ker(d_j)_beta} over the beta of degree d that F_j
-    # reaches, as step j found it, kept until step j + 1 reads it at the same
-    # degree; lives for this call only
-    ledger: Dict[Tuple[int, int], Dict[int, int]] = {}
+    # step i finds the generators of F_{i+1} up to bounds[i + 1]; reach[i + 1]
+    # is the largest degree that step i or a later one scans
+    bounds = [min(max_internal, bound) for bound, _ in cutoffs]
+    reach = list(itertools.accumulate(reversed(bounds), max))[::-1]
 
-    def kernel_dims(
-        j: int, d: int, blocks: Optional[Dict[int, List[int]]] = None
-    ) -> Dict[int, int]:
-        """Exactness: dim ker(d_j)_beta = dim F_{j,beta} - dim im(d_j)_beta,
-        with im(d_j) = ker(d_{j-1}) for j >= 2 and dim im(d_1)_beta =
-        [beta standard in A] wherever F_1 reaches beta (then beta is in J).
-        Valid while F_j holds every generator of degree <= d, which the proven
-        cutoffs give for every d a step scans, under a budget too."""
-        if (j, d) in ledger:
-            return ledger.pop((j, d))
-        if blocks is None:
-            blocks = spread(modules[j], d)
-        image = kernel_dims(j - 1, d) if j > 1 else dict.fromkeys(standard_of(d), 1)
-        return {beta: len(cols) - image.get(beta, 0) for beta, cols in blocks.items()}
-
-    for i in range(1, max_hom):
-        # generators of F_{i+1} = minimal generators of ker(d_i)
-        prev, current = modules[i - 1], modules[i]
-        cutoff = min(max_internal, cutoffs[i + 1][0])
-        degrees = range(min(current.totals, default=cutoff) + 1, cutoff + 1)
-        # step i + 1 scans from one above the lowest degree of F_{i+1} up to
-        # its own cutoff, so it reads the ledger only at the degrees above a
-        # generator found here and up to that cutoff
-        read_to = min(max_internal, cutoffs[i + 2][0]) if i + 1 < max_hom else -1
-        new = _FreeModule([], [], [])
-        for d in degrees:
-            standard_of(d)  # the row tests look up standard monomials of degree <= d
-            blocks = spread(current, d)
-            dims = kernel_dims(i, d, blocks)
-            if new.degrees and d <= read_to:
-                ledger[i, d] = dims
-            # multiples of generators found in lower degrees, by block
-            multiples = spread(new, d) if dims else {}
-            for beta, cols in blocks.items():
+    for d in range(2, max(reach[2:], default=1) + 1):
+        standard_of(d)  # the row tests look up standard monomials of degree <= d
+        # exactness, one step after the other: dim ker(d_i)_beta =
+        # dim F_{i,beta} - ranks[beta], ranks[beta] = dim im(d_i)_beta, with
+        # im(d_i) = ker(d_{i-1}) and dim im(d_1)_beta = [beta standard in A]
+        # wherever F_1 reaches beta (then beta is in J).  Valid because F_i
+        # holds every generator of degree <= d: step i - 1 has just scanned
+        # d, or provably finds nothing there (d <= max_internal throughout).
+        ranks = dict.fromkeys(standard[d], 1)
+        blocks = spread(modules[1], d)
+        for i in range(1, max_hom):
+            # generators of F_{i+1} = minimal generators of ker(d_i)
+            prev, current, new = modules[i - 1], modules[i], modules[i + 1]
+            # no later step scans d, or F_i has no generator below d: then
+            # ker(d_i) is 0 in degree d (the resolution is minimal), and so is
+            # every later module
+            if d > reach[i + 1] or not current.totals or current.totals[0] >= d:
+                break
+            dims = {beta: len(cols) - ranks.get(beta, 0) for beta, cols in blocks.items()}
+            # multiples of generators found in lower degrees, by block; with the
+            # generators found here they are step i + 1's blocks
+            multiples = spread(new, d)
+            for beta, cols in blocks.items() if d <= bounds[i + 1] else ():
                 dim = dims[beta]
                 if not dim:
                     continue
@@ -546,7 +543,7 @@ def resolve(
                             image[k] = c
                     images.append(image)
                 pivots, kernel = _echelon(images, p)
-                # exactness audit: the kernel has the ledger's dimension
+                # exactness audit: the kernel has the dimension the chain gave
                 if len(kernel) != dim:
                     raise InternalInconsistency(
                         f"exactness audit failed at multidegree {packing.unpack(beta)}: "
@@ -568,10 +565,11 @@ def resolve(
                         )
                     kernel = [kernel[idx - len(span)] for idx in pivots if idx >= len(span)]
                 for vec in kernel:
+                    multiples.setdefault(beta, []).append(len(new.degrees))
                     new.degrees.append(beta)
                     new.totals.append(d)
                     new.columns.append({cols[c]: x for c, x in vec.items()})
-        modules.append(new)
+            ranks, blocks = dims, multiples
 
     # at max_hom 0, F_1 was written down but lies outside the table
     modules = modules[: max_hom + 1]

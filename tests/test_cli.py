@@ -333,6 +333,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
           for kind in ("series", "betti", "depth", "classify")),
         ["examples", "--order", "4"],
         ["examples", "--max-internal", "6"],
+        # --char is registered only on resolve, verify, depth and classify
+        *([kind, "--scenario", str(scenario[kind]), "--char", "3"]
+          for kind in ("series", "betti")),
+        ["examples", "--char", "3"],
     ):
         assert cli.run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("validation error:"), argv

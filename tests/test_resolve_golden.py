@@ -77,8 +77,8 @@ def test_euler_hilbert_identity(name):
 
 
 def test_identical_calls_make_identical_counts(monkeypatch):
-    """Memoised lookups and the exactness ledger live inside one resolve
-    call: nothing carries over."""
+    """Memoised lookups and the kernel dimensions from exactness live inside
+    one resolve call: nothing carries over."""
     counts = {"standard": 0, "contains": 0, "kernel": 0, "rank": 0}
     real_standard = oracle._standard_step
     real_contains = MonomialIdeal.contains_monomial
@@ -238,6 +238,49 @@ def test_standard_step_builds_kbasis(ring):
     for d in range(9):
         assert [packing.unpack(m) for m in basis] == kbasis(ideal, d)
         basis = oracle._standard_step(basis, packing, packed)
+
+
+@st.composite
+def relabeled_cases(draw):
+    """A quotient in 2-4 variables by 1-4 monomials of degree 2-3, with the
+    module k or A/J, J containing I, hom 2-5, a budget about a third of the
+    time, and a permutation of the variables."""
+    n = draw(st.integers(2, 4))
+
+    def monomials(low, size):
+        # monomials of degree low-3, each as the variables it multiplies
+        factors = st.lists(st.integers(0, n - 1), min_size=low, max_size=3)
+        return st.lists(factors.map(lambda f: tuple(f.count(v) for v in range(n))),
+                        min_size=1, max_size=size)
+
+    # a linear ring generator only drops a variable, which n already varies
+    ring = draw(monomials(2, 4))
+    module = draw(st.none() | monomials(1, 3).map(ring.__add__))
+    max_hom = draw(st.integers(2, 5))
+    max_internal = max_hom + draw(st.integers(0, 2)) if draw(st.integers(0, 2)) == 0 else None
+    return (n, draw(st.sampled_from([2, 3, 32003])), ring, module, max_hom, max_internal,
+            draw(st.permutations(range(n))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(relabeled_cases())
+def test_resolve_is_invariant_under_relabeling(case):
+    """Permuting the variables permutes every multidegree, so the table, its
+    flags and its cutoff rules stay the same, while each degree meets its
+    blocks, and finds its generators, in another order."""
+    n, char, ring, module, max_hom, max_internal, perm = case
+
+    def table(relabel):
+        ideal = MonomialIdeal.of(n, [relabel(g) for g in ring])
+        if module is None:
+            pres = QuotientPresentation.residue_field(ideal, char=char)
+        else:
+            pres = QuotientPresentation(n, char, ideal,
+                                        MonomialIdeal.of(n, [relabel(g) for g in module]))
+        out = resolve(pres, max_hom, max_internal)
+        return out.to_json(), out.reasons
+
+    assert table(lambda g: g) == table(lambda g: tuple(g[v] for v in perm))
 
 
 def random_vectors(rng, p, nrows):
